@@ -61,6 +61,19 @@ def test_falsum_constraint_violation():
     assert report.violations[0][0] == 0
 
 
+def test_constraint_ignores_facts_of_another_arity():
+    x, y = Variable("x"), Variable("y")
+    denial = Constraint((Atom("A", (x,)), Atom("B", (x,))), None)
+    facts = {_fact("A", 1), _fact("A", 1, 1), _fact("B", 1, 1), _fact("B", 2)}
+    assert check_constraints(facts, [denial]).satisfied
+    facts.add(_fact("B", 1))
+    assert check_constraints(facts, [denial]).violations == ((0, {"x": 1.0}),)
+    # one relation at two arities in one body: each atom sees only its own
+    mixed = Constraint((Atom("A", (x,)), Atom("A", (x, y))), None)
+    report = check_constraints(facts, [mixed])
+    assert report.violations == ((0, {"x": 1.0, "y": 1.0}),)
+
+
 # -- exact_posterior -----------------------------------------------------------
 
 
