@@ -7,6 +7,19 @@ Runs are reproducible: the frontier is seeded and extended in
 (rule index, lexicographic binding) order and all random choices come
 from an explicit seeded stream.
 
+Joins are semi-naive. When a fact is inserted, only the bindings that
+use it are discovered: the new row is matched against each body atom of
+its relation, and the rest of the body is joined against the instance.
+Every other body atom is looked up through a hash index on the state,
+keyed by the positions that a constant or an earlier atom already binds
+(one compiled plan per rule and delta atom); an atom with no bound
+position is scanned. Indexes are built from the fact sets on first use
+and kept up to date on insertion; copies of a state start without them.
+Since facts are only ever added, a binding is discovered exactly once,
+when the last of its body rows arrives, so the frontier needs no record
+of past firings: the only duplicates are within one discovery batch,
+when the new row matches several atoms of one rule.
+
 Draw weights are accumulated in log space while a run is in flight; the
 probability attached to a finished outcome is recomputed as a canonical
 product over the sorted distributional facts, so it does not depend on
@@ -15,8 +28,9 @@ the order in which the chase happened to fire rules.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .distributions import DomainError, RngStream
 from .model import (
@@ -99,13 +113,14 @@ class Outcome:
 class ChaseState:
     """Mutable run state: growing instance, frontier, weight ledger."""
 
-    __slots__ = ("facts", "obls", "pending", "enqueued", "log_weight", "steps", "pops")
+    __slots__ = ("facts", "obls", "pending", "index", "log_weight", "steps", "pops")
 
     def __init__(self):
         self.facts: dict = {}  # relation -> set of arg tuples
         self.obls: dict = {}  # distrel name -> {key tuple: drawn value}
         self.pending = deque()  # of (rule index, slot tuple)
-        self.enqueued: set = set()
+        # relation -> bound positions -> (key getter, {key: [rows]})
+        self.index: dict = {}
         self.log_weight = 0.0
         self.steps = 0
         self.pops = 0
@@ -115,11 +130,31 @@ class ChaseState:
         s.facts = {r: set(v) for r, v in self.facts.items()}
         s.obls = {r: dict(v) for r, v in self.obls.items()}
         s.pending = deque(self.pending)
-        s.enqueued = set(self.enqueued)
+        s.index = {}  # derived from facts, rebuilt on demand
         s.log_weight = self.log_weight
         s.steps = self.steps
         s.pops = self.pops
         return s
+
+    def rows_matching(self, rel: str, positions: tuple, key) -> list:
+        """Rows of ``rel`` whose values at ``positions`` equal ``key``: a
+        constant for one position, a tuple of constants for several."""
+        indexes = self.index.get(rel)
+        if indexes is None:
+            indexes = self.index[rel] = {}
+        entry = indexes.get(positions)
+        if entry is None:
+            rows = self.facts.get(rel, ())
+            entry = indexes[positions] = _build_index(rows, positions)
+        return entry[1].get(key, ())
+
+    def add_row(self, rel: str, row: tuple) -> None:
+        """Insert a new row into the instance and every index built on it."""
+        rows = self.facts.setdefault(rel, set())
+        assert row not in rows, "chase step would not grow the instance"
+        rows.add(row)
+        for getter, buckets in self.index.get(rel, {}).values():
+            buckets.setdefault(getter(row), []).append(row)
 
     def fact_count(self) -> int:
         return sum(len(v) for v in self.facts.values())
@@ -130,11 +165,95 @@ class ChaseState:
         )
 
 
+def _multisets(buckets: dict) -> dict:
+    return {key: Counter(rows) for key, rows in buckets.items()}
+
+
+def _build_index(rows, positions: tuple) -> tuple:
+    getter = itemgetter(*positions)
+    buckets: dict = {}
+    for row in rows:
+        buckets.setdefault(getter(row), []).append(row)
+    return getter, buckets
+
+
+def join_plan(body, skip_idx: int) -> tuple:
+    """Compile a join over the compiled ``body`` atoms other than
+    ``skip_idx`` (whose variables are bound beforehand; -1 for none).
+
+    Each step is (relation, bound positions, key sources, binds, checks):
+    the positions that a constant or an earlier atom fixes form the
+    index key; ``binds`` are (position, slot) pairs for variables first
+    seen in this atom, ``checks`` pairs of positions that must hold equal
+    values because a variable repeats within the atom.
+    """
+    bound = set()
+    if skip_idx >= 0:
+        bound.update(p for is_var, p in body[skip_idx][1] if is_var)
+    steps = []
+    for i, (rel, args) in enumerate(body):
+        if i == skip_idx:
+            continue
+        positions, key_src, binds, checks = [], [], [], []
+        first: dict = {}  # slot -> position where this atom binds it
+        for pos, (is_var, p) in enumerate(args):
+            if not is_var or p in bound:
+                positions.append(pos)
+                key_src.append((is_var, p))
+            elif p in first:
+                checks.append((pos, first[p]))
+            else:
+                first[p] = pos
+                binds.append((pos, p))
+        bound.update(first)
+        steps.append(
+            (rel, tuple(positions), tuple(key_src), tuple(binds), tuple(checks))
+        )
+    return tuple(steps)
+
+
+def run_join(state: ChaseState, plan: tuple, slots) -> list:
+    """Every binding (a tuple of slot values) that extends ``slots`` and
+    matches all atoms of ``plan`` against ``state``, one per combination
+    of matching rows."""
+    results = []
+    cur = list(slots)
+    last = len(plan) - 1
+    if last < 0:
+        return [tuple(cur)]
+
+    # ``cur`` is updated in place: a step only reads slots that earlier
+    # steps bound, and rebinds its own slots for every row it tries
+    def rec(k: int) -> None:
+        rel, positions, key_src, binds, checks = plan[k]
+        if not positions:
+            rows = state.facts.get(rel, ())
+        elif len(key_src) == 1:
+            is_var, p = key_src[0]
+            rows = state.rows_matching(rel, positions, cur[p] if is_var else p)
+        else:
+            key = tuple(cur[p] if is_var else p for is_var, p in key_src)
+            rows = state.rows_matching(rel, positions, key)
+        for row in rows:
+            if checks and any(row[a] != row[b] for a, b in checks):
+                continue
+            for pos, slot in binds:
+                cur[slot] = row[pos]
+            if k == last:
+                results.append(tuple(cur))
+            else:
+                rec(k + 1)
+
+    rec(0)
+    return results
+
+
 class _CompiledRule:
     __slots__ = (
         "index",
         "kind",
         "body",
+        "plans",
         "nvars",
         "var_names",
         "head_rel",
@@ -204,6 +323,8 @@ class ChaseEngine:
         c.body = tuple(
             (a.relation, _compile_atom_args(a.args, slot_of)) for a in rule.body
         )
+        # plans[j + 1] joins the body given atom j (j = -1: seeding)
+        c.plans = tuple(join_plan(c.body, j) for j in range(-1, len(c.body)))
         if rule.kind == EXISTENTIAL:
             dr = rule.distrel
             spec = self.ghat.dists.get(dr.dist)
@@ -254,24 +375,7 @@ class ChaseEngine:
     def _extend(self, state: ChaseState, rule: _CompiledRule, slots, skip_idx: int):
         """All full-body bindings extending ``slots``; atom skip_idx is
         already matched."""
-        order = [i for i in range(len(rule.body)) if i != skip_idx]
-        results = []
-
-        def rec(k, cur):
-            if k == len(order):
-                results.append(tuple(cur))
-                return
-            rel, args = rule.body[order[k]]
-            rows = state.facts.get(rel)
-            if not rows:
-                return
-            for row in rows:
-                nxt = self._match(args, row, cur)
-                if nxt is not None:
-                    rec(k + 1, nxt)
-
-        rec(0, list(slots))
-        return results
+        return run_join(state, rule.plans[skip_idx + 1], slots)
 
     @staticmethod
     def _ground(args, slots) -> tuple:
@@ -291,13 +395,11 @@ class ChaseEngine:
         state.pending.extend(batch)
 
     def _seed_frontier(self, state: ChaseState) -> None:
-        batch = []
-        for rule in self.rules:
-            for slots in self._extend(state, rule, [None] * rule.nvars, -1):
-                key = (rule.index, slots)
-                if key not in state.enqueued:
-                    state.enqueued.add(key)
-                    batch.append(key)
+        batch = [
+            (rule.index, slots)
+            for rule in self.rules
+            for slots in self._extend(state, rule, [None] * rule.nvars, -1)
+        ]
         self._enqueue_batch(state, batch)
 
     def _discover(self, state: ChaseState, rel: str, row: tuple) -> None:
@@ -307,10 +409,10 @@ class ChaseEngine:
             if start is None:
                 continue
             for slots in self._extend(state, rule, start, atom_idx):
-                key = (rule.index, slots)
-                if key not in state.enqueued:
-                    state.enqueued.add(key)
-                    batch.append(key)
+                batch.append((rule.index, slots))
+        if len(batch) > 1:
+            # a row matching several atoms of one rule finds a binding twice
+            batch = list(dict.fromkeys(batch))
         if batch:
             self._enqueue_batch(state, batch)
 
@@ -356,6 +458,9 @@ class ChaseEngine:
                     f"input fact {render_fact(f)}: arity {f.arity}, "
                     f"declared {arity}"
                 )
+            if any(v != v for v in f.args):
+                # NaN equals nothing, itself included: no join may match it
+                raise GdlogError(f"input fact {render_fact(f)}: NaN is not a constant")
             state.facts.setdefault(f.relation, set()).add(f.args)
         self._seed_frontier(state)
         return state
@@ -405,9 +510,7 @@ class ChaseEngine:
             obls[key] = value
             row = key[: rule.insert_at] + (value,) + key[rule.insert_at :]
             state.log_weight += math.log(weight)
-        rows = state.facts.setdefault(rel, set())
-        assert row not in rows, "chase step would not grow the instance"
-        rows.add(row)
+        state.add_row(rel, row)
         state.steps += 1
         self._discover(state, rel, row)
         if self.check_invariants:
@@ -427,6 +530,15 @@ class ChaseEngine:
                 groups[key] = row[dr.position - 1]
             if groups != state.obls.get(name, {}):
                 raise AssertionError(f"obligation index out of sync for {name}")
+        # rebuild every join index from the raw fact sets
+        for rel, indexes in state.index.items():
+            rows = state.facts.get(rel, ())
+            for positions, (_, buckets) in indexes.items():
+                fresh = _build_index(rows, positions)[1]
+                if _multisets(buckets) != _multisets(fresh):
+                    raise AssertionError(
+                        f"join index on {rel} at {positions} out of sync"
+                    )
 
     def run(self, state: ChaseState, rng: RngStream | None, step_budget: int) -> str:
         """Drive the chase; returns LEAF or BUDGET_EXHAUSTED."""

@@ -443,7 +443,7 @@ def load_edb_csv(relation: str, rows, edb_schema: dict) -> Instance:
     """Load header-less CSV rows as facts of ``relation``.
 
     ``rows`` is a text stream or a string. Numeric-looking cells parse
-    as numbers, everything else as symbols.
+    as numbers, everything else as symbols; a NaN cell is an error.
     """
     if relation not in edb_schema:
         raise ParseError(
@@ -466,9 +466,17 @@ def load_edb_csv(relation: str, rows, edb_schema: dict) -> Instance:
         for cell in row:
             cell = cell.strip()
             try:
-                args.append(float(cell))
+                value = float(cell)
             except ValueError:
                 args.append(cell)
+                continue
+            if math.isnan(value):
+                # NaN equals nothing, not even itself: no join could match it
+                raise ParseError(
+                    SourceSpan(f"<csv:{relation}>", lineno, 1),
+                    f"row {lineno}: '{cell}' is not a number (NaN)",
+                )
+            args.append(value)
         facts.add(Fact(relation, tuple(args)))
     return frozenset(facts)
 

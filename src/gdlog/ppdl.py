@@ -10,10 +10,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chase import BUDGET_EXHAUSTED, ChaseEngine
+from .chase import (
+    BUDGET_EXHAUSTED,
+    ChaseEngine,
+    ChaseState,
+    _compile_atom_args,
+    join_plan,
+    run_join,
+)
 from .distributions import RngStream
 from .enumeration import EnumerationPolicy, OutcomeDistribution, enumerate_outcomes
-from .model import Fact, GdlogError, Program, Variable, constant_key
+from .model import DeltaTerm, Fact, GdlogError, Program, constant_key
 from .translate import to_existential
 
 __all__ = [
@@ -40,63 +47,69 @@ class UndeterminedLegality(IllegalInput):
     remains, so legality cannot be decided at this exploration depth."""
 
 
-def _match_atom(atom, row, binding: dict) -> dict | None:
-    out = binding
-    copied = False
-    for t, val in zip(atom.args, row):
-        if isinstance(t, Variable):
-            cur = out.get(t.name)
-            if cur is None and t.name not in out:
-                if not copied:
-                    out = dict(out)
-                    copied = True
-                out[t.name] = val
-            elif cur != val:
-                return None
-        elif t != val:
+def _has_draw(atom) -> bool:
+    return any(isinstance(t, DeltaTerm) for t in atom.args)
+
+
+class _CompiledConstraint:
+    """A constraint body compiled to a join plan; the head is ground from
+    the same slots.
+
+    Without ``schema`` the plan runs over rows grouped by (relation,
+    arity), so that an atom never meets a row of another arity. With the
+    chase's ``schema`` (relation -> arity) it runs over the chase state
+    itself, where every row has its relation's arity, so an atom of
+    another arity can match nothing.
+    """
+
+    __slots__ = ("plan", "nvars", "var_names", "head")
+
+    def __init__(self, c, schema: dict | None = None):
+        def key(atom):
+            if schema is None:
+                return (atom.relation, len(atom.args))
+            if schema.get(atom.relation) == len(atom.args):
+                return atom.relation
             return None
-    return out if copied else dict(out)
 
-
-def _body_bindings(body, rows_by_rel: dict):
-    def rec(k: int, binding: dict):
-        if k == len(body):
-            yield binding
+        # a draw term equals no constant, and an unmatchable atom holds no
+        # row: a body with either never matches, a head never holds
+        self.plan = self.head = None
+        if any(_has_draw(a) or key(a) is None for a in c.body):
             return
-        atom = body[k]
-        for row in rows_by_rel.get(atom.relation, ()):
-            if len(row) != len(atom.args):
-                continue  # foreign fact set may hold junk arities
-            nxt = _match_atom(atom, row, binding)
-            if nxt is not None:
-                yield from rec(k + 1, nxt)
+        slot_of: dict = {}
+        body = tuple((key(a), _compile_atom_args(a.args, slot_of)) for a in c.body)
+        self.plan = join_plan(body, -1)
+        self.nvars = len(slot_of)
+        self.var_names = tuple(slot_of)
+        if c.head is not None and not _has_draw(c.head) and key(c.head) is not None:
+            self.head = (key(c.head), _compile_atom_args(c.head.args, slot_of))
 
-    yield from rec(0, {})
+    def bindings(self, source: ChaseState) -> list:
+        if self.plan is None:
+            return []
+        return run_join(source, self.plan, [None] * self.nvars)
+
+    def head_holds(self, source: ChaseState, slots) -> bool:
+        if self.head is None:
+            return False  # any body match is a violation
+        rel, args = self.head
+        row = tuple(slots[p] if is_var else p for is_var, p in args)
+        return row in source.facts.get(rel, ())
 
 
-def _head_holds(constraint, binding: dict, rows_by_rel: dict) -> bool:
-    if constraint.head is None:
-        return False  # falsum: any body match is a violation
-    row = tuple(
-        binding[t.name] if isinstance(t, Variable) else t
-        for t in constraint.head.args
-    )
-    return row in rows_by_rel.get(constraint.head.relation, ())
-
-
-def _rows_by_rel(facts) -> dict:
-    if isinstance(facts, dict):
-        return facts
-    out: dict = {}
+def _source(facts) -> ChaseState:
+    """A fact set as a join source keyed by (relation, arity)."""
+    source = ChaseState()
     for f in facts:
-        out.setdefault(f.relation, set()).add(f.args)
-    return out
+        source.facts.setdefault((f.relation, len(f.args)), set()).add(f.args)
+    return source
 
 
-def _satisfies_all(constraints, rows_by_rel: dict) -> bool:
-    for c in constraints:
-        for binding in _body_bindings(c.body, rows_by_rel):
-            if not _head_holds(c, binding, rows_by_rel):
+def _satisfies_all(compiled, source: ChaseState) -> bool:
+    for c in compiled:
+        for slots in c.bindings(source):
+            if not c.head_holds(source, slots):
                 return False
     return True
 
@@ -110,13 +123,13 @@ class ConstraintReport:
 def check_constraints(outcome_facts, constraints) -> ConstraintReport:
     """Check every constraint on a fact set; violations list the failing
     (constraint index, body binding) pairs."""
-    rows = _rows_by_rel(outcome_facts)
+    source = _source(outcome_facts)
     violations = []
-    for i, c in enumerate(constraints):
+    for i, c in enumerate(map(_CompiledConstraint, constraints)):
         bad = [
-            b
-            for b in _body_bindings(c.body, rows)
-            if not _head_holds(c, b, rows)
+            dict(zip(c.var_names, slots))
+            for slots in c.bindings(source)
+            if not c.head_holds(source, slots)
         ]
         bad.sort(key=lambda b: sorted((k, constant_key(v)) for k, v in b.items()))
         violations.extend((i, b) for b in bad)
@@ -137,10 +150,11 @@ def exact_posterior(
     explored region and the prior residual is not redistributed.
     """
     prior = enumerate_outcomes(p, input_facts, policy)
+    compiled = [_CompiledConstraint(c) for c in p.constraints]
     retained = [
         (outcome, prob)
         for outcome, prob in prior.entries
-        if _satisfies_all(p.constraints, _rows_by_rel(outcome.facts))
+        if _satisfies_all(compiled, _source(outcome.facts))
     ]
     retained_mass = math.fsum(prob for _, prob in retained)
     if retained_mass <= LEGALITY_THRESHOLD:
@@ -200,6 +214,8 @@ def estimate_posterior(
         raise GdlogError("sample count must be >= 1")
     engine = ChaseEngine(to_existential(p))
     template = engine.initial_state(input_facts)
+    schema = engine.ghat.schema()
+    compiled = [_CompiledConstraint(c, schema) for c in p.constraints]
     accepted = 0
     exhausted = 0
     hits = 0
@@ -209,7 +225,7 @@ def estimate_posterior(
         if status == BUDGET_EXHAUSTED:
             exhausted += 1
             continue
-        if not _satisfies_all(p.constraints, state.facts):
+        if not _satisfies_all(compiled, state):
             continue
         accepted += 1
         if query.args in state.facts.get(query.relation, ()):

@@ -116,6 +116,13 @@ def test_empty_edb_no_firings(burglar):
     assert applicable_firings(state, engine) == []
 
 
+def test_nan_input_fact_rejected(burglar):
+    engine = ChaseEngine(to_existential(burglar))
+    nan_city = Fact("City", ("Napa", float("nan")))
+    with pytest.raises(GdlogError, match=r'City\("Napa", nan\): NaN is not a'):
+        engine.initial_state({_fact("City", "Yucaipa", 0.01), nan_city})
+
+
 # -- chase_step ----------------------------------------------------------------
 
 

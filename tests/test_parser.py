@@ -133,6 +133,18 @@ def test_load_edb_csv_numeric_cells(burglar):
     assert Fact("City", ("Napa", 0.03)) in inst
 
 
+@pytest.mark.parametrize("cell", ["nan", "NaN", " -nan "])
+def test_load_edb_csv_rejects_nan(burglar, cell):
+    with pytest.raises(ParseError, match=r"<csv:City>:2:1: row 2: .* \(NaN\)"):
+        load_edb_csv("City", io.StringIO(f"Napa,0.03\nYucaipa,{cell}\n"), burglar.edb)
+
+
+def test_load_edb_csv_keeps_infinities(burglar):
+    inst = load_edb_csv("City", io.StringIO("Napa,inf\nYucaipa,-inf\n"), burglar.edb)
+    assert Fact("City", ("Napa", float("inf"))) in inst
+    assert Fact("City", ("Yucaipa", float("-inf"))) in inst
+
+
 def test_load_edb_csv_empty(burglar):
     assert load_edb_csv("House", io.StringIO(""), burglar.edb) == frozenset()
 
