@@ -20,6 +20,13 @@ when the last of its body rows arrives, so the frontier needs no record
 of past firings: the only duplicates are within one discovery batch,
 when the new row matches several atoms of one rule.
 
+``ChaseEngine.run`` is the one chase driver, steered by an optional
+``choose(rule, slots)`` callback that sees every firing before it is
+applied and picks the value to draw, skips the firing, or stops the run
+there. Sampling draws from an rng; replay and cylinder masses force every
+choice from a target fact set (``forced_mass``); enumeration stops at
+each distributional firing and branches over its support.
+
 Draw weights are accumulated in log space while a run is in flight; the
 probability attached to a finished outcome is recomputed as a canonical
 product over the sorted distributional facts, so it does not depend on
@@ -48,6 +55,8 @@ from .translate import EXISTENTIAL, ExistentialProgram, to_existential
 __all__ = [
     "LEAF",
     "BUDGET_EXHAUSTED",
+    "SKIP",
+    "BRANCH",
     "Firing",
     "Outcome",
     "Rejection",
@@ -61,6 +70,9 @@ __all__ = [
 
 LEAF = "leaf"
 BUDGET_EXHAUSTED = "budget-exhausted"
+# returned by a ``choose`` callback; objects, so no drawn value equals them
+SKIP = object()  # drop this firing
+BRANCH = object()  # stop before this distributional firing
 
 FIFO = "fifo"
 REVERSED_RULES = "reversed-rules"
@@ -261,7 +273,6 @@ class _CompiledRule:
         "distrel",
         "spec",
         "obl_args",
-        "insert_at",
         "source",
     )
 
@@ -333,10 +344,7 @@ class ChaseEngine:
             c.distrel = dr
             c.spec = spec
             c.head_rel = dr.name
-            c.insert_at = dr.position - 1
-            args = list(rule.head.args)
-            del args[c.insert_at]  # drop the existential variable
-            c.obl_args = _compile_atom_args(tuple(args), slot_of)
+            c.obl_args = _compile_atom_args(dr.split(rule.head.args)[0], slot_of)
             c.head_args = None
         else:
             c.distrel = None
@@ -344,7 +352,6 @@ class ChaseEngine:
             c.head_rel = rule.head.relation
             c.head_args = _compile_atom_args(rule.head.args, slot_of)
             c.obl_args = None
-            c.insert_at = None
         c.nvars = len(slot_of)
         names = [None] * len(slot_of)
         for name, slot in slot_of.items():
@@ -479,22 +486,22 @@ class ChaseEngine:
         choice: float | None = None,
         rng: RngStream | None = None,
     ) -> tuple:
-        """Fire a rule instance; returns the added (relation, row)."""
+        """Fire a rule instance, drawing ``choice`` or else from ``rng``;
+        returns the added (relation, row)."""
+        rel = rule.head_rel
         if rule.distrel is None:
-            rel = rule.head_rel
             row = self._ground(rule.head_args, slots)
         else:
-            rel = rule.head_rel
             key = self._ground(rule.obl_args, slots)
             dr = rule.distrel
-            params = key[len(key) - dr.pardim :] if dr.pardim else ()
-            try:
-                rule.spec.check_params(params)
+            spec = rule.spec
+            try:  # checked once here: draw and _pmf do not check again
+                params = spec.check_params(dr.params(key))
             except DomainError as e:
                 raise DomainError(f"{self._firing_context(rule, slots)}: {e}") from e
             if choice is not None:
                 value = float(choice)
-                weight = rule.spec.pmf(value, params)
+                weight = spec._pmf(value, params)
                 if weight <= 0.0:
                     raise DomainError(
                         f"{self._firing_context(rule, slots)}: value {value} "
@@ -503,12 +510,11 @@ class ChaseEngine:
             else:
                 if rng is None:
                     raise GdlogError("distributional firing needs a choice or an rng")
-                value = rule.spec.sample(params, rng)
-                weight = rule.spec.pmf(value, params)
+                value, weight = spec.draw(params, rng)
             obls = state.obls.setdefault(rel, {})
             assert key not in obls, "functional dependency would be violated"
             obls[key] = value
-            row = key[: rule.insert_at] + (value,) + key[rule.insert_at :]
+            row = dr.row(key, value)
             state.log_weight += math.log(weight)
         state.add_row(rel, row)
         state.steps += 1
@@ -520,14 +526,9 @@ class ChaseEngine:
     def _verify_invariants(self, state: ChaseState) -> None:
         # recompute the FD groups from the raw fact sets
         for name, dr in self.distrel_by_name.items():
-            groups: dict = {}
-            for row in state.facts.get(name, ()):
-                key = row[: dr.position - 1] + row[dr.position :]
-                if key in groups and groups[key] != row[dr.position - 1]:
-                    raise AssertionError(
-                        f"functional dependency violated on {name} at {key}"
-                    )
-                groups[key] = row[dr.position - 1]
+            groups = dr.fd_index(state.facts.get(name, set()))
+            if groups is None:
+                raise AssertionError(f"functional dependency violated on {name}")
             if groups != state.obls.get(name, {}):
                 raise AssertionError(f"obligation index out of sync for {name}")
         # rebuild every join index from the raw fact sets
@@ -540,8 +541,15 @@ class ChaseEngine:
                         f"join index on {rel} at {positions} out of sync"
                     )
 
-    def run(self, state: ChaseState, rng: RngStream | None, step_budget: int) -> str:
-        """Drive the chase; returns LEAF or BUDGET_EXHAUSTED."""
+    def run(self, state: ChaseState, rng, step_budget: int, choose=None):
+        """Drive the chase until no firing applies (LEAF) or ``state.steps``
+        reaches ``step_budget`` with one still applicable (BUDGET_EXHAUSTED).
+
+        ``choose(rule, slots)``, if given, sees each applicable firing within
+        the budget and returns the value to draw (None for a deterministic
+        rule or an rng draw), ``SKIP`` to drop the firing, or a stop object
+        (a ``Rejection`` or ``BRANCH``), returned with the firing unapplied.
+        """
         if step_budget < 1:
             raise GdlogError("step_budget must be positive")
         while True:
@@ -551,7 +559,13 @@ class ChaseEngine:
             if state.steps >= step_budget:
                 return BUDGET_EXHAUSTED
             rule, slots = nxt
-            self.apply(state, rule, slots, rng=rng)
+            choice = None if choose is None else choose(rule, slots)
+            if choice is not None:
+                if choice is SKIP:
+                    continue
+                if choice is BRANCH or isinstance(choice, Rejection):
+                    return choice
+            self.apply(state, rule, slots, choice, rng)
 
     # -- outcome bookkeeping ----------------------------------------------
 
@@ -566,8 +580,7 @@ class ChaseEngine:
                 key=lambda kv: tuple(constant_key(c) for c in kv[0]),
             )
             for key, value in entries:
-                params = key[len(key) - dr.pardim :] if dr.pardim else ()
-                out.append((spec, value, params))
+                out.append((spec, value, dr.params(key)))
         return out
 
     def canonical_mass(self, state: ChaseState) -> float:
@@ -588,6 +601,70 @@ class ChaseEngine:
     def sample(self, input_facts, rng: RngStream, step_budget: int) -> Outcome:
         state = self.initial_state(input_facts)
         return self.outcome(state, self.run(state, rng, step_budget))
+
+    def forced_mass(self, input_facts, target: frozenset, strict: bool):
+        """Chase ``input_facts`` with every choice forced by ``target``.
+
+        A distributional firing must draw the value that the target's
+        functional dependency fixes for its key. A firing whose head is not
+        in the target is rejected if ``strict`` (replay: the target must be
+        an outcome), else skipped (cylinder: the target need only be a
+        chase prefix). Facts only grow and every applied firing adds a
+        target fact, so skipping cannot lose a firing that would later fit.
+        Returns the canonical mass of the reached state, or a Rejection
+        naming the first problem, including a target fact left underived.
+        """
+        target_rows: dict = {}
+        for f in target:
+            target_rows.setdefault(f.relation, set()).add(f.args)
+        keyed: dict = {}
+        for dr in self.ghat.dist_relations:
+            rows = target_rows.get(dr.name, set())
+            for row in rows:
+                if len(row) != dr.arity:
+                    return Rejection(
+                        f"fact of {dr.name} has arity {len(row)}, expected {dr.arity}"
+                    )
+            keyed[dr.name] = dr.fd_index(rows)
+            if keyed[dr.name] is None:
+                return Rejection(f"functional dependency violation on {dr.name}")
+
+        def choose(rule, slots):
+            dr = rule.distrel
+            if dr is None:
+                row = self._ground(rule.head_args, slots)
+                if row in target_rows.get(rule.head_rel, ()):
+                    return None
+            else:
+                key = self._ground(rule.obl_args, slots)
+                if key in keyed[dr.name]:
+                    value = keyed[dr.name][key]
+                    if rule.spec.pmf(value, dr.params(key)) <= 0.0:
+                        return Rejection(
+                            f"zero-weight choice {value} on {dr.name} at {key}"
+                        )
+                    return value
+            if not strict:
+                return SKIP
+            if dr is None:
+                fact = render_fact(Fact(rule.head_rel, row))
+                return Rejection(f"missing forced fact {fact}")
+            return Rejection(
+                f"missing forced fact: unresolved obligation on {dr.name} at {key}"
+            )
+
+        state = self.initial_state(input_facts)
+        # each step adds a target fact, so this budget is never reached
+        stop = self.run(state, None, len(target) + 1, choose)
+        if isinstance(stop, Rejection):
+            return stop
+        left = sorted(target - state.instance(), key=fact_key)
+        if left:
+            fact = render_fact(left[0])
+            if strict:
+                return Rejection(f"extraneous fact {fact}")
+            return Rejection(f"not a derivation set: no chase prefix produces {fact}")
+        return self.canonical_mass(state)
 
     # -- public firing interface -------------------------------------------
 
@@ -672,56 +749,4 @@ def replay_weight(g: Program, input_facts, candidate):
     input_facts = frozenset(input_facts)
     if not input_facts <= candidate:
         return Rejection("candidate does not contain the input instance")
-
-    cand_rows: dict = {}
-    for f in candidate:
-        cand_rows.setdefault(f.relation, set()).add(f.args)
-    cand_obls: dict = {}
-    for dr in engine.ghat.dist_relations:
-        keyed: dict = {}
-        for row in cand_rows.get(dr.name, ()):
-            if len(row) != dr.arity:
-                return Rejection(
-                    f"fact of {dr.name} has arity {len(row)}, expected {dr.arity}"
-                )
-            key = row[: dr.position - 1] + row[dr.position :]
-            value = row[dr.position - 1]
-            if key in keyed and keyed[key] != value:
-                return Rejection(f"functional dependency violation on {dr.name}")
-            keyed[key] = value
-        cand_obls[dr.name] = keyed
-
-    state = engine.initial_state(input_facts)
-    while True:
-        nxt = engine.pop_applicable(state)
-        if nxt is None:
-            break
-        rule, slots = nxt
-        if rule.distrel is None:
-            row = engine._ground(rule.head_args, slots)
-            if row not in cand_rows.get(rule.head_rel, ()):
-                return Rejection(
-                    f"missing forced fact {render_fact(Fact(rule.head_rel, row))}"
-                )
-            engine.apply(state, rule, slots)
-        else:
-            key = engine._ground(rule.obl_args, slots)
-            keyed = cand_obls.get(rule.head_rel, {})
-            if key not in keyed:
-                return Rejection(
-                    f"missing forced fact: unresolved obligation on {rule.head_rel} "
-                    f"at {key}"
-                )
-            value = keyed[key]
-            dr = rule.distrel
-            params = key[len(key) - dr.pardim :] if dr.pardim else ()
-            if rule.spec.pmf(value, params) <= 0.0:
-                return Rejection(
-                    f"zero-weight choice {value} on {rule.head_rel} at {key}"
-                )
-            engine.apply(state, rule, slots, choice=value)
-
-    extraneous = sorted(candidate - state.instance(), key=fact_key)
-    if extraneous:
-        return Rejection(f"extraneous fact {render_fact(extraneous[0])}")
-    return engine.canonical_mass(state)
+    return engine.forced_mass(input_facts, candidate, strict=True)

@@ -89,22 +89,25 @@ class DistributionSpec:
 
     def pmf(self, value: float, params) -> float:
         """Probability mass at ``value``; 0 outside the support."""
-        params = self.check_params(params)
-        return self._pmf(float(value), params)
+        return self._pmf(float(value), self.check_params(params))
 
     def sample(self, params, rng: RngStream) -> float:
         """Draw a support-positive value; deterministic given the stream."""
-        params = self.check_params(params)
+        return self.draw(self.check_params(params), rng)[0]
+
+    def draw(self, params: tuple, rng: RngStream) -> tuple:
+        """(value, pmf at value) of one draw; ``params`` must come from
+        ``check_params``."""
         u = rng.uniform()
         cum = 0.0
         last = None
         for v in self._support(params):
             p = self._pmf(v, params)
             if p > 0.0:
-                last = v
+                last = v, p
                 cum += p
                 if u < cum:
-                    return v
+                    return last
             elif last is not None:
                 break  # past the positive tail
         if last is None:

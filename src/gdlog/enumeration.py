@@ -14,10 +14,9 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .chase import LEAF, ChaseEngine, Outcome, Rejection
+from .chase import BRANCH, BUDGET_EXHAUSTED, LEAF, ChaseEngine, Outcome
 from .distributions import DomainError
 from .model import Fact, GdlogError, Program, fact_key
-from .parser import render_fact
 from .translate import to_existential
 
 __all__ = [
@@ -92,59 +91,58 @@ def enumerate_outcomes(
     steps = 0
     counter = 0
     heap = [(-1.0, counter, root)]  # (-path mass, insertion order, state)
+    firing = None  # the distributional firing a path stopped at
+
+    def branch_at(rule, slots):
+        nonlocal firing
+        if rule.distrel is None:
+            return None
+        firing = rule, slots
+        return BRANCH
 
     while heap:
         neg_mass, _, state = heapq.heappop(heap)
         if steps >= policy.node_budget:
             residual_parts.append(-neg_mass)
             continue
-        # drive the deterministic prefix of this subtree
-        while True:
-            nxt = engine.pop_applicable(state)
-            if nxt is None:
-                facts = state.instance()
-                assert facts not in leaves, "chase tree produced a duplicate leaf"
-                prob = engine.canonical_mass(state)
-                leaves[facts] = (
-                    Outcome(facts, engine.canonical_log_mass(state), LEAF),
-                    prob,
-                )
-                break
-            rule, slots = nxt
-            if steps >= policy.node_budget:
-                residual_parts.append(engine.canonical_mass(state))
-                break
-            if rule.distrel is None:
-                engine.apply(state, rule, slots)
-                steps += 1
-                continue
+        # drive the deterministic prefix of this subtree; the budget counts
+        # steps across the whole tree
+        start = state.steps
+        stop = engine.run(state, None, start + policy.node_budget - steps, branch_at)
+        steps += state.steps - start
+        if stop is LEAF:
+            facts = state.instance()
+            assert facts not in leaves, "chase tree produced a duplicate leaf"
+            prob = engine.canonical_mass(state)
+            leaves[facts] = (
+                Outcome(facts, engine.canonical_log_mass(state), LEAF),
+                prob,
+            )
+            continue
+        if stop is BUDGET_EXHAUSTED:
+            residual_parts.append(engine.canonical_mass(state))
+            continue
 
-            # distributional firing: branch over the support
-            dr = rule.distrel
-            key = engine._ground(rule.obl_args, slots)
-            params = key[len(key) - dr.pardim :] if dr.pardim else ()
-            target = 1.0 - policy.mass_epsilon
-            if not rule.spec.finite_support:
-                target = min(target, policy.support_mass_target)
-            try:
-                support = rule.spec.enumerate_support(params, target)
-            except DomainError as e:
-                raise DomainError(
-                    f"{engine._firing_context(rule, slots)}: {e}"
-                ) from e
-            parent_mass = engine.canonical_mass(state)
-            tail = 1.0 - math.fsum(p for _, p in support)
-            if tail > 0.0:
-                residual_parts.append(parent_mass * tail)
-            for value, _ in support:
-                child = state.copy()
-                engine.apply(child, rule, slots, choice=value)
-                steps += 1
-                counter += 1
-                heapq.heappush(
-                    heap, (-engine.canonical_mass(child), counter, child)
-                )
-            break
+        # distributional firing: branch over the support
+        rule, slots = firing
+        key = engine._ground(rule.obl_args, slots)
+        target = 1.0 - policy.mass_epsilon
+        if not rule.spec.finite_support:
+            target = min(target, policy.support_mass_target)
+        try:
+            support = rule.spec.enumerate_support(rule.distrel.params(key), target)
+        except DomainError as e:
+            raise DomainError(f"{engine._firing_context(rule, slots)}: {e}") from e
+        parent_mass = engine.canonical_mass(state)
+        tail = 1.0 - math.fsum(p for _, p in support)
+        if tail > 0.0:
+            residual_parts.append(parent_mass * tail)
+        for value, _ in support:
+            child = state.copy()
+            engine.apply(child, rule, slots, choice=value)
+            steps += 1
+            counter += 1
+            heapq.heappush(heap, (-engine.canonical_mass(child), counter, child))
 
     explored = math.fsum(p for _, p in leaves.values())
     residual = math.fsum(residual_parts)
@@ -158,74 +156,15 @@ def enumerate_outcomes(
 def cylinder_mass(g: Program, input_facts, derivation_set):
     """Probability mass of all outcomes extending ``derivation_set``.
 
-    Verifies the derivation-set property by greedily building a chase
-    prefix that realizes exactly input plus the given facts; rejects if
-    no prefix does. The mass is the product of the draw weights.
+    Verifies the derivation-set property by chasing the input with every
+    choice forced by input plus the given facts and every other firing
+    skipped; rejects if that chase does not produce them all. The mass is
+    the product of the draw weights.
     """
     engine = ChaseEngine(to_existential(g))
-    fset = frozenset(derivation_set)
     input_facts = frozenset(input_facts)
-
-    target_rows: dict = {}
-    for f in input_facts | fset:
-        target_rows.setdefault(f.relation, set()).add(f.args)
-    target_size = sum(len(v) for v in target_rows.values())
-
-    target_obls: dict = {}
-    for dr in engine.ghat.dist_relations:
-        keyed: dict = {}
-        for f in fset:
-            if f.relation != dr.name:
-                continue
-            if f.arity != dr.arity:
-                return Rejection(
-                    f"fact of {dr.name} has arity {f.arity}, expected {dr.arity}"
-                )
-            key = f.args[: dr.position - 1] + f.args[dr.position :]
-            value = f.args[dr.position - 1]
-            if key in keyed and keyed[key] != value:
-                return Rejection(f"functional dependency violation on {dr.name}")
-            keyed[key] = value
-        target_obls[dr.name] = keyed
-
-    state = engine.initial_state(input_facts)
-    progress = True
-    while state.fact_count() < target_size and progress:
-        progress = False
-        for rule, slots in engine.applicable_raw(state):
-            if engine.head_satisfied(state, rule, slots):
-                continue  # an earlier firing in this pass satisfied it
-            if rule.distrel is None:
-                row = engine._ground(rule.head_args, slots)
-                if row in target_rows.get(rule.head_rel, ()) and row not in state.facts.get(
-                    rule.head_rel, ()
-                ):
-                    engine.apply(state, rule, slots)
-                    progress = True
-            else:
-                key = engine._ground(rule.obl_args, slots)
-                keyed = target_obls.get(rule.head_rel, {})
-                if key not in keyed:
-                    continue
-                value = keyed[key]
-                dr = rule.distrel
-                params = key[len(key) - dr.pardim :] if dr.pardim else ()
-                if rule.spec.pmf(value, params) <= 0.0:
-                    return Rejection(
-                        f"zero-weight choice {value} on {rule.head_rel} at {key}"
-                    )
-                engine.apply(state, rule, slots, choice=value)
-                progress = True
-
-    if state.fact_count() != target_size:
-        missing = sorted(
-            (input_facts | fset) - state.instance(), key=fact_key
-        )
-        return Rejection(
-            f"not a derivation set: no chase prefix produces "
-            f"{render_fact(missing[0])}"
-        )
-    return engine.canonical_mass(state)
+    target = input_facts | frozenset(derivation_set)
+    return engine.forced_mass(input_facts, target, strict=False)
 
 
 def marginal(dist: OutcomeDistribution, query_fact: Fact) -> float:

@@ -21,6 +21,7 @@ from .chase import (
 from .distributions import RngStream
 from .enumeration import EnumerationPolicy, OutcomeDistribution, enumerate_outcomes
 from .model import DeltaTerm, Fact, GdlogError, Program, constant_key
+from .parser import render_fact
 from .translate import to_existential
 
 __all__ = [
@@ -124,6 +125,12 @@ def check_constraints(outcome_facts, constraints) -> ConstraintReport:
     """Check every constraint on a fact set; violations list the failing
     (constraint index, body binding) pairs."""
     source = _source(outcome_facts)
+    for (rel, _), rows in source.facts.items():
+        for row in rows:
+            if any(v != v for v in row):
+                # an index matches one NaN object to itself; NaN equals nothing
+                fact = render_fact(Fact(rel, row))
+                raise GdlogError(f"fact {fact}: NaN is not a constant")
     violations = []
     for i, c in enumerate(map(_CompiledConstraint, constraints)):
         bad = [

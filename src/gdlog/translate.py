@@ -40,7 +40,10 @@ PROJECTION = "projection"
 
 @dataclass(frozen=True)
 class DistRelation:
-    """Auxiliary relation for draws into ``base`` at ``position`` (1-based)."""
+    """Auxiliary relation for draws into ``base`` at ``position`` (1-based).
+
+    A row's FD key is every attribute but the drawn one, in order, so the
+    distribution parameters end the key."""
 
     base: str
     position: int
@@ -55,6 +58,24 @@ class DistRelation:
     @property
     def arity(self) -> int:
         return self.base_arity + self.pardim
+
+    def split(self, row: tuple) -> tuple:
+        """(FD key, drawn value) of a row."""
+        i = self.position - 1
+        return row[:i] + row[i + 1 :], row[i]
+
+    def row(self, key: tuple, value) -> tuple:
+        i = self.position - 1
+        return key[:i] + (value,) + key[i:]
+
+    def params(self, key: tuple) -> tuple:
+        return key[len(key) - self.pardim :]
+
+    def fd_index(self, rows) -> dict | None:
+        """FD key -> drawn value over a set of rows; None when two rows
+        share a key."""
+        index = dict(map(self.split, rows))
+        return index if len(index) == len(rows) else None
 
 
 @dataclass(frozen=True)
@@ -160,11 +181,9 @@ def to_existential(g: Program) -> ExistentialProgram:
                 )
             by_name[dr.name] = dr
             dist_relations.append(dr)
-        delta = r.head.args[dr.position - 1]
+        key, delta = dr.split(r.head.args)
         y = _fresh_var(r)
-        pre = r.head.args[: dr.position - 1]
-        post = r.head.args[dr.position :]
-        head = Atom(dr.name, pre + (Variable(y),) + post + tuple(delta.params))
+        head = Atom(dr.name, dr.row(key + tuple(delta.params), Variable(y)))
         rules.append(ExistentialRule(EXISTENTIAL, head, r.body, dr, y))
 
     for dr in dist_relations:

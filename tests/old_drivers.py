@@ -1,0 +1,221 @@
+"""Reference chase drivers, kept as differential oracles.
+
+These are the loops that drove the chase before ``ChaseEngine.run``
+became the only one: ``replay_weight`` and ``cylinder_mass`` each with
+its own functional-dependency index and zero-weight check, the cylinder
+re-running every applicable firing on each pass, and the enumeration's
+own loop over each path's deterministic prefix. The property tests check
+that the single driver returns the same masses, rejection reasons and
+enumerated distributions.
+"""
+from __future__ import annotations
+
+import heapq
+import math
+
+from gdlog.chase import LEAF, ChaseEngine, Outcome, Rejection
+from gdlog.distributions import DomainError
+from gdlog.enumeration import EnumerationPolicy, OutcomeDistribution
+from gdlog.model import Fact, fact_key
+from gdlog.parser import render_fact
+from gdlog.translate import to_existential
+
+
+def old_replay_weight(g, input_facts, candidate):
+    engine = ChaseEngine(to_existential(g))
+    candidate = frozenset(candidate)
+    input_facts = frozenset(input_facts)
+    if not input_facts <= candidate:
+        return Rejection("candidate does not contain the input instance")
+
+    cand_rows: dict = {}
+    for f in candidate:
+        cand_rows.setdefault(f.relation, set()).add(f.args)
+    cand_obls: dict = {}
+    for dr in engine.ghat.dist_relations:
+        keyed: dict = {}
+        for row in cand_rows.get(dr.name, ()):
+            if len(row) != dr.arity:
+                return Rejection(
+                    f"fact of {dr.name} has arity {len(row)}, expected {dr.arity}"
+                )
+            key = row[: dr.position - 1] + row[dr.position :]
+            value = row[dr.position - 1]
+            if key in keyed and keyed[key] != value:
+                return Rejection(f"functional dependency violation on {dr.name}")
+            keyed[key] = value
+        cand_obls[dr.name] = keyed
+
+    state = engine.initial_state(input_facts)
+    while True:
+        nxt = engine.pop_applicable(state)
+        if nxt is None:
+            break
+        rule, slots = nxt
+        if rule.distrel is None:
+            row = engine._ground(rule.head_args, slots)
+            if row not in cand_rows.get(rule.head_rel, ()):
+                return Rejection(
+                    f"missing forced fact {render_fact(Fact(rule.head_rel, row))}"
+                )
+            engine.apply(state, rule, slots)
+        else:
+            key = engine._ground(rule.obl_args, slots)
+            keyed = cand_obls.get(rule.head_rel, {})
+            if key not in keyed:
+                return Rejection(
+                    f"missing forced fact: unresolved obligation on {rule.head_rel} "
+                    f"at {key}"
+                )
+            value = keyed[key]
+            dr = rule.distrel
+            params = key[len(key) - dr.pardim :] if dr.pardim else ()
+            if rule.spec.pmf(value, params) <= 0.0:
+                return Rejection(
+                    f"zero-weight choice {value} on {rule.head_rel} at {key}"
+                )
+            engine.apply(state, rule, slots, choice=value)
+
+    extraneous = sorted(candidate - state.instance(), key=fact_key)
+    if extraneous:
+        return Rejection(f"extraneous fact {render_fact(extraneous[0])}")
+    return engine.canonical_mass(state)
+
+
+def old_cylinder_mass(g, input_facts, derivation_set):
+    engine = ChaseEngine(to_existential(g))
+    fset = frozenset(derivation_set)
+    input_facts = frozenset(input_facts)
+
+    target_rows: dict = {}
+    for f in input_facts | fset:
+        target_rows.setdefault(f.relation, set()).add(f.args)
+    target_size = sum(len(v) for v in target_rows.values())
+
+    target_obls: dict = {}
+    for dr in engine.ghat.dist_relations:
+        keyed: dict = {}
+        for f in fset:
+            if f.relation != dr.name:
+                continue
+            if f.arity != dr.arity:
+                return Rejection(
+                    f"fact of {dr.name} has arity {f.arity}, expected {dr.arity}"
+                )
+            key = f.args[: dr.position - 1] + f.args[dr.position :]
+            value = f.args[dr.position - 1]
+            if key in keyed and keyed[key] != value:
+                return Rejection(f"functional dependency violation on {dr.name}")
+            keyed[key] = value
+        target_obls[dr.name] = keyed
+
+    state = engine.initial_state(input_facts)
+    progress = True
+    while state.fact_count() < target_size and progress:
+        progress = False
+        for rule, slots in engine.applicable_raw(state):
+            if engine.head_satisfied(state, rule, slots):
+                continue  # an earlier firing in this pass satisfied it
+            if rule.distrel is None:
+                row = engine._ground(rule.head_args, slots)
+                if row in target_rows.get(rule.head_rel, ()) and row not in state.facts.get(
+                    rule.head_rel, ()
+                ):
+                    engine.apply(state, rule, slots)
+                    progress = True
+            else:
+                key = engine._ground(rule.obl_args, slots)
+                keyed = target_obls.get(rule.head_rel, {})
+                if key not in keyed:
+                    continue
+                value = keyed[key]
+                dr = rule.distrel
+                params = key[len(key) - dr.pardim :] if dr.pardim else ()
+                if rule.spec.pmf(value, params) <= 0.0:
+                    return Rejection(
+                        f"zero-weight choice {value} on {rule.head_rel} at {key}"
+                    )
+                engine.apply(state, rule, slots, choice=value)
+                progress = True
+
+    if state.fact_count() != target_size:
+        missing = sorted((input_facts | fset) - state.instance(), key=fact_key)
+        return Rejection(
+            f"not a derivation set: no chase prefix produces "
+            f"{render_fact(missing[0])}"
+        )
+    return engine.canonical_mass(state)
+
+
+def old_enumerate_outcomes(g, input_facts, policy: EnumerationPolicy | None = None):
+    if policy is None:
+        policy = EnumerationPolicy()
+    engine = ChaseEngine(
+        to_existential(g), order=policy.order, order_seed=policy.order_seed
+    )
+    root = engine.initial_state(input_facts)
+
+    leaves: dict = {}
+    residual_parts: list = []
+    steps = 0
+    counter = 0
+    heap = [(-1.0, counter, root)]
+
+    while heap:
+        neg_mass, _, state = heapq.heappop(heap)
+        if steps >= policy.node_budget:
+            residual_parts.append(-neg_mass)
+            continue
+        while True:
+            nxt = engine.pop_applicable(state)
+            if nxt is None:
+                facts = state.instance()
+                assert facts not in leaves, "chase tree produced a duplicate leaf"
+                prob = engine.canonical_mass(state)
+                leaves[facts] = (
+                    Outcome(facts, engine.canonical_log_mass(state), LEAF),
+                    prob,
+                )
+                break
+            rule, slots = nxt
+            if steps >= policy.node_budget:
+                residual_parts.append(engine.canonical_mass(state))
+                break
+            if rule.distrel is None:
+                engine.apply(state, rule, slots)
+                steps += 1
+                continue
+
+            dr = rule.distrel
+            key = engine._ground(rule.obl_args, slots)
+            params = key[len(key) - dr.pardim :] if dr.pardim else ()
+            target = 1.0 - policy.mass_epsilon
+            if not rule.spec.finite_support:
+                target = min(target, policy.support_mass_target)
+            try:
+                support = rule.spec.enumerate_support(params, target)
+            except DomainError as e:
+                raise DomainError(
+                    f"{engine._firing_context(rule, slots)}: {e}"
+                ) from e
+            parent_mass = engine.canonical_mass(state)
+            tail = 1.0 - math.fsum(p for _, p in support)
+            if tail > 0.0:
+                residual_parts.append(parent_mass * tail)
+            for value, _ in support:
+                child = state.copy()
+                engine.apply(child, rule, slots, choice=value)
+                steps += 1
+                counter += 1
+                heapq.heappush(
+                    heap, (-engine.canonical_mass(child), counter, child)
+                )
+            break
+
+    explored = math.fsum(p for _, p in leaves.values())
+    residual = math.fsum(residual_parts)
+    entries = sorted(
+        leaves.values(),
+        key=lambda op: (-op[1], tuple(sorted(fact_key(f) for f in op[0].facts))),
+    )
+    return OutcomeDistribution(tuple(entries), explored, residual)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from gdlog.enumeration import EnumerationPolicy, enumerate_outcomes, marginal
-from gdlog.model import Atom, Constraint, Variable
+from gdlog.model import Atom, Constraint, Fact, GdlogError, Variable
 from gdlog.parser import parse_program
 from gdlog.ppdl import (
     IllegalInput,
@@ -72,6 +72,17 @@ def test_constraint_ignores_facts_of_another_arity():
     mixed = Constraint((Atom("A", (x,)), Atom("A", (x, y))), None)
     report = check_constraints(facts, [mixed])
     assert report.violations == ((0, {"x": 1.0, "y": 1.0}),)
+
+
+def test_check_constraints_rejects_nan():
+    x = Variable("x")
+    denial = Constraint((Atom("A", (x,)), Atom("B", (x,))), None)
+    shared = float("nan")
+    one_object = {Fact("A", (shared,)), Fact("B", (shared,))}
+    two_objects = {Fact("A", (float("nan"),)), Fact("B", (float("nan"),))}
+    for facts in (one_object, two_objects):
+        with pytest.raises(GdlogError, match=r"\(nan\): NaN is not a constant"):
+            check_constraints(facts, [denial])
 
 
 # -- exact_posterior -----------------------------------------------------------
