@@ -27,14 +27,17 @@ there. Sampling draws from an rng; replay and cylinder masses force every
 choice from a target fact set (``forced_mass``); enumeration stops at
 each distributional firing and branches over its support.
 
-Draw weights are accumulated in log space while a run is in flight; the
-probability attached to a finished outcome is recomputed as a canonical
-product over the sorted distributional facts, so it does not depend on
-the order in which the chase happened to fire rules.
+Draw weights are accumulated in log space while a run is in flight. Each
+state also keeps a ledger of its draws' pmfs, taken when the draw fires
+and kept sorted by (relation, key); the probability attached to an
+outcome is the product read from that ledger in its canonical order, so
+it does not depend on the order in which the chase happened to fire
+rules.
 """
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import Counter, deque
 from dataclasses import dataclass
 from operator import itemgetter
@@ -125,7 +128,17 @@ class Outcome:
 class ChaseState:
     """Mutable run state: growing instance, frontier, weight ledger."""
 
-    __slots__ = ("facts", "obls", "pending", "index", "log_weight", "steps", "pops")
+    __slots__ = (
+        "facts",
+        "obls",
+        "pending",
+        "index",
+        "ledger",
+        "draws",
+        "log_weight",
+        "steps",
+        "pops",
+    )
 
     def __init__(self):
         self.facts: dict = {}  # relation -> set of arg tuples
@@ -133,6 +146,8 @@ class ChaseState:
         self.pending = deque()  # of (rule index, slot tuple)
         # relation -> bound positions -> (key getter, {key: [rows]})
         self.index: dict = {}
+        self.ledger: list = []  # ((distrel name, key sort key), pmf), sorted
+        self.draws: list = []  # (distrel name, key, pmf) not yet in the ledger
         self.log_weight = 0.0
         self.steps = 0
         self.pops = 0
@@ -143,6 +158,8 @@ class ChaseState:
         s.obls = {r: dict(v) for r, v in self.obls.items()}
         s.pending = deque(self.pending)
         s.index = {}  # derived from facts, rebuilt on demand
+        s.ledger = list(self.ledger)  # entries are immutable tuples
+        s.draws = list(self.draws)
         s.log_weight = self.log_weight
         s.steps = self.steps
         s.pops = self.pops
@@ -167,6 +184,21 @@ class ChaseState:
         rows.add(row)
         for getter, buckets in self.index.get(rel, {}).values():
             buckets.setdefault(getter(row), []).append(row)
+
+    def canonical_draws(self) -> list:
+        """The ledger: every draw's pmf in canonical (relation, key) order."""
+        draws = self.draws
+        if draws:
+            if len(draws) == 1:
+                rel, key, p = draws[0]
+                insort(self.ledger, ((rel, _binding_sort_key(key)), p))
+            else:
+                self.ledger.extend(
+                    ((rel, _binding_sort_key(key)), p) for rel, key, p in draws
+                )
+                self.ledger.sort()
+            draws.clear()
+        return self.ledger
 
     def fact_count(self) -> int:
         return sum(len(v) for v in self.facts.values())
@@ -514,6 +546,7 @@ class ChaseEngine:
             obls = state.obls.setdefault(rel, {})
             assert key not in obls, "functional dependency would be violated"
             obls[key] = value
+            state.draws.append((rel, key, weight))
             row = dr.row(key, value)
             state.log_weight += math.log(weight)
         state.add_row(rel, row)
@@ -531,6 +564,19 @@ class ChaseEngine:
                 raise AssertionError(f"functional dependency violated on {name}")
             if groups != state.obls.get(name, {}):
                 raise AssertionError(f"obligation index out of sync for {name}")
+        # recompute the draw ledger through the public pmf; pmfs are
+        # positive, so == compares their bits
+        ledger = []
+        for name, obls in state.obls.items():
+            dr = self.distrel_by_name[name]
+            spec = self.ghat.dists.get(dr.dist)
+            ledger.extend(
+                ((name, _binding_sort_key(key)), spec.pmf(value, dr.params(key)))
+                for key, value in obls.items()
+            )
+        ledger.sort()
+        if ledger != state.canonical_draws():
+            raise AssertionError("draw ledger out of sync")
         # rebuild every join index from the raw fact sets
         for rel, indexes in state.index.items():
             rows = state.facts.get(rel, ())
@@ -569,30 +615,16 @@ class ChaseEngine:
 
     # -- outcome bookkeeping ----------------------------------------------
 
-    def dist_facts_sorted(self, state: ChaseState):
-        """(spec, value, params) triples in canonical order."""
-        out = []
-        for name in sorted(state.obls):
-            dr = self.distrel_by_name[name]
-            spec = self.ghat.dists.get(dr.dist)
-            entries = sorted(
-                state.obls[name].items(),
-                key=lambda kv: tuple(constant_key(c) for c in kv[0]),
-            )
-            for key, value in entries:
-                out.append((spec, value, dr.params(key)))
-        return out
-
     def canonical_mass(self, state: ChaseState) -> float:
         m = 1.0
-        for spec, value, params in self.dist_facts_sorted(state):
-            m *= spec.pmf(value, params)
+        for _, p in state.canonical_draws():
+            m *= p
         return m
 
     def canonical_log_mass(self, state: ChaseState) -> float:
         s = 0.0
-        for spec, value, params in self.dist_facts_sorted(state):
-            s += math.log(spec.pmf(value, params))
+        for _, p in state.canonical_draws():
+            s += math.log(p)
         return s
 
     def outcome(self, state: ChaseState, terminated: str) -> Outcome:
@@ -639,7 +671,10 @@ class ChaseEngine:
                 key = self._ground(rule.obl_args, slots)
                 if key in keyed[dr.name]:
                     value = keyed[dr.name][key]
-                    if rule.spec.pmf(value, dr.params(key)) <= 0.0:
+                    # a symbol has no mass under any numeric distribution
+                    if isinstance(value, str) or (
+                        rule.spec.pmf(value, dr.params(key)) <= 0.0
+                    ):
                         return Rejection(
                             f"zero-weight choice {value} on {dr.name} at {key}"
                         )

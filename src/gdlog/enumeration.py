@@ -146,10 +146,17 @@ def enumerate_outcomes(
 
     explored = math.fsum(p for _, p in leaves.values())
     residual = math.fsum(residual_parts)
-    entries = sorted(
-        leaves.values(),
-        key=lambda op: (-op[1], tuple(sorted(fact_key(f) for f in op[0].facts))),
-    )
+    # by descending probability, ties broken by sorted facts; leaves never
+    # share a fact set, so only ties need the fact keys
+    by_mass: dict = {}
+    for op in leaves.values():
+        by_mass.setdefault(op[1], []).append(op)
+    entries = []
+    for p in sorted(by_mass, reverse=True):
+        tied = by_mass[p]
+        if len(tied) > 1:
+            tied.sort(key=lambda op: sorted(map(fact_key, op[0].facts)))
+        entries.extend(tied)
     return OutcomeDistribution(tuple(entries), explored, residual)
 
 

@@ -4,9 +4,11 @@ These are the loops that drove the chase before ``ChaseEngine.run``
 became the only one: ``replay_weight`` and ``cylinder_mass`` each with
 its own functional-dependency index and zero-weight check, the cylinder
 re-running every applicable firing on each pass, and the enumeration's
-own loop over each path's deterministic prefix. The property tests check
-that the single driver returns the same masses, rejection reasons and
-enumerated distributions.
+own loop over each path's deterministic prefix. Their masses come from
+``old_canonical_mass`` and ``old_canonical_log_mass``, which re-sort the
+drawn facts and re-weigh each through the public pmf instead of reading
+the state's draw ledger. The property tests check that the engine
+returns the same masses, rejection reasons and enumerated distributions.
 """
 from __future__ import annotations
 
@@ -16,9 +18,38 @@ import math
 from gdlog.chase import LEAF, ChaseEngine, Outcome, Rejection
 from gdlog.distributions import DomainError
 from gdlog.enumeration import EnumerationPolicy, OutcomeDistribution
-from gdlog.model import Fact, fact_key
+from gdlog.model import Fact, constant_key, fact_key
 from gdlog.parser import render_fact
 from gdlog.translate import to_existential
+
+
+def _dist_facts_sorted(engine, state):
+    """(spec, value, params) triples in canonical order."""
+    out = []
+    for name in sorted(state.obls):
+        dr = engine.distrel_by_name[name]
+        spec = engine.ghat.dists.get(dr.dist)
+        entries = sorted(
+            state.obls[name].items(),
+            key=lambda kv: tuple(constant_key(c) for c in kv[0]),
+        )
+        for key, value in entries:
+            out.append((spec, value, dr.params(key)))
+    return out
+
+
+def old_canonical_mass(engine, state) -> float:
+    m = 1.0
+    for spec, value, params in _dist_facts_sorted(engine, state):
+        m *= spec.pmf(value, params)
+    return m
+
+
+def old_canonical_log_mass(engine, state) -> float:
+    s = 0.0
+    for spec, value, params in _dist_facts_sorted(engine, state):
+        s += math.log(spec.pmf(value, params))
+    return s
 
 
 def old_replay_weight(g, input_facts, candidate):
@@ -70,7 +101,7 @@ def old_replay_weight(g, input_facts, candidate):
             value = keyed[key]
             dr = rule.distrel
             params = key[len(key) - dr.pardim :] if dr.pardim else ()
-            if rule.spec.pmf(value, params) <= 0.0:
+            if isinstance(value, str) or rule.spec.pmf(value, params) <= 0.0:
                 return Rejection(
                     f"zero-weight choice {value} on {rule.head_rel} at {key}"
                 )
@@ -79,7 +110,7 @@ def old_replay_weight(g, input_facts, candidate):
     extraneous = sorted(candidate - state.instance(), key=fact_key)
     if extraneous:
         return Rejection(f"extraneous fact {render_fact(extraneous[0])}")
-    return engine.canonical_mass(state)
+    return old_canonical_mass(engine, state)
 
 
 def old_cylinder_mass(g, input_facts, derivation_set):
@@ -131,7 +162,7 @@ def old_cylinder_mass(g, input_facts, derivation_set):
                 value = keyed[key]
                 dr = rule.distrel
                 params = key[len(key) - dr.pardim :] if dr.pardim else ()
-                if rule.spec.pmf(value, params) <= 0.0:
+                if isinstance(value, str) or rule.spec.pmf(value, params) <= 0.0:
                     return Rejection(
                         f"zero-weight choice {value} on {rule.head_rel} at {key}"
                     )
@@ -144,7 +175,7 @@ def old_cylinder_mass(g, input_facts, derivation_set):
             f"not a derivation set: no chase prefix produces "
             f"{render_fact(missing[0])}"
         )
-    return engine.canonical_mass(state)
+    return old_canonical_mass(engine, state)
 
 
 def old_enumerate_outcomes(g, input_facts, policy: EnumerationPolicy | None = None):
@@ -171,15 +202,15 @@ def old_enumerate_outcomes(g, input_facts, policy: EnumerationPolicy | None = No
             if nxt is None:
                 facts = state.instance()
                 assert facts not in leaves, "chase tree produced a duplicate leaf"
-                prob = engine.canonical_mass(state)
+                prob = old_canonical_mass(engine, state)
                 leaves[facts] = (
-                    Outcome(facts, engine.canonical_log_mass(state), LEAF),
+                    Outcome(facts, old_canonical_log_mass(engine, state), LEAF),
                     prob,
                 )
                 break
             rule, slots = nxt
             if steps >= policy.node_budget:
-                residual_parts.append(engine.canonical_mass(state))
+                residual_parts.append(old_canonical_mass(engine, state))
                 break
             if rule.distrel is None:
                 engine.apply(state, rule, slots)
@@ -198,7 +229,7 @@ def old_enumerate_outcomes(g, input_facts, policy: EnumerationPolicy | None = No
                 raise DomainError(
                     f"{engine._firing_context(rule, slots)}: {e}"
                 ) from e
-            parent_mass = engine.canonical_mass(state)
+            parent_mass = old_canonical_mass(engine, state)
             tail = 1.0 - math.fsum(p for _, p in support)
             if tail > 0.0:
                 residual_parts.append(parent_mass * tail)
@@ -208,7 +239,7 @@ def old_enumerate_outcomes(g, input_facts, policy: EnumerationPolicy | None = No
                 steps += 1
                 counter += 1
                 heapq.heappush(
-                    heap, (-engine.canonical_mass(child), counter, child)
+                    heap, (-old_canonical_mass(engine, child), counter, child)
                 )
             break
 

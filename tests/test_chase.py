@@ -287,6 +287,18 @@ def test_weight_ledger_matches_recomputation(burglar, burglar_edb):
         )
 
 
+def test_invariant_check_catches_a_wrong_draw_ledger(burglar, burglar_edb):
+    engine = ChaseEngine(to_existential(burglar), check_invariants=True)
+    state = engine.initial_state(burglar_edb)
+    rng = RngStream(0, 0)
+    assert engine.run(state, rng, 3) == BUDGET_EXHAUSTED
+    assert state.ledger  # the first rule draws an earthquake per city
+    where, p = state.ledger[0]
+    state.ledger[0] = (where, math.nextafter(p, 1.0))  # one ulp off
+    with pytest.raises(AssertionError, match="draw ledger out of sync"):
+        engine.run(state, rng, 10**6)
+
+
 # -- replay_weight ---------------------------------------------------------------
 
 
@@ -339,6 +351,23 @@ def test_replay_reproduces_sampled_probability(burglar, burglar_edb):
         got = replay_weight(burglar, burglar_edb, o.facts)
         assert not isinstance(got, Rejection)
         assert got == pytest.approx(math.exp(o.log_probability), rel=1e-9)
+
+
+def _symbol_draw_case(registry):
+    from gdlog.parser import parse_facts, parse_program
+
+    p = parse_program("edb A/1.\nidb C/2.\nC(x, Flip[0.2]) :- A(x).\n", registry)
+    edb = parse_facts("A(0).", p.edb)
+    return p, edb, {_fact("C__Flip__2", 0, "s", 0.2), _fact("C", 0, "s")}
+
+
+SYMBOL_DRAW_REJECTION = Rejection("zero-weight choice s on C__Flip__2 at (0.0, 0.2)")
+
+
+def test_replay_rejects_symbol_as_drawn_value(registry):
+    # a symbol has no mass under any numeric distribution
+    p, edb, drawn = _symbol_draw_case(registry)
+    assert replay_weight(p, edb, edb | drawn) == SYMBOL_DRAW_REJECTION
 
 
 def test_replay_escape_leaf(registry):

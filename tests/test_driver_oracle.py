@@ -5,7 +5,9 @@ through ``ChaseEngine.run``; ``old_drivers`` keeps the loops they had
 before. On random programs from ``randprog``, sampled outcomes, random
 subsets of their derived facts, and sets with one tampered fact must
 get the same mass (compared with ``==``) or the same rejection reason
-from both, and enumeration must render the same JSON bytes.
+from both, and enumeration must render the same JSON bytes. The masses
+read from a state's draw ledger must equal, bit for bit, the old ones
+recomputed from its drawn facts.
 """
 from __future__ import annotations
 
@@ -13,13 +15,25 @@ import json
 import random
 from collections import Counter
 
-from gdlog.chase import ChaseEngine, Rejection, replay_weight
+from gdlog.chase import (
+    ChaseEngine,
+    Rejection,
+    applicable_firings,
+    chase_step,
+    replay_weight,
+)
 from gdlog.distributions import RngStream
 from gdlog.enumeration import EnumerationPolicy, cylinder_mass, enumerate_outcomes
 from gdlog.model import Fact, fact_key
 from gdlog.translate import to_existential
 
-from old_drivers import old_cylinder_mass, old_enumerate_outcomes, old_replay_weight
+from old_drivers import (
+    old_canonical_log_mass,
+    old_canonical_mass,
+    old_cylinder_mass,
+    old_enumerate_outcomes,
+    old_replay_weight,
+)
 from randprog import random_program
 from test_enumeration import dist_as_json
 
@@ -107,3 +121,41 @@ def test_enumeration_matches_old_loop(registry):
             assert _render(dist) == _render(old_enumerate_outcomes(program, facts, policy))
             leaves += len(dist.entries)
     assert leaves > 500  # the comparison is not vacuous
+
+
+def test_ledger_mass_matches_old_canonical_mass(registry):
+    draws = Counter()
+
+    def check(engine, state):
+        assert engine.canonical_mass(state) == old_canonical_mass(engine, state)
+        assert engine.canonical_log_mass(state) == old_canonical_log_mass(engine, state)
+        draws[min(sum(map(len, state.obls.values())), 3)] += 1
+
+    for seed in SEEDS:
+        rnd = random.Random(seed)
+        program, facts = random_program(rnd, registry)
+        # on odd seeds every step also rebuilds the ledger from the drawn
+        # facts (and so merges each draw as it fires)
+        engine = ChaseEngine(to_existential(program), check_invariants=seed % 2 == 1)
+        # a sampled run: every draw enters the ledger at the one mass call
+        state = engine.initial_state(facts)
+        engine.run(state, RngStream(seed, 0), STEPS)
+        check(engine, state)
+        # chase_step in random firing order, masses read after some steps
+        # only; a copy taken a third of the way in then diverges
+        states = [engine.initial_state(facts)]
+        rngs = [RngStream(seed, 1)]
+        for step in range(STEPS):
+            if step == STEPS // 3:
+                states.append(states[0].copy())
+                rngs.append(RngStream(seed, 2))
+            for state, rng in zip(states, rngs):
+                firings = applicable_firings(state, engine)
+                if firings:
+                    chase_step(state, rnd.choice(firings), engine, rng=rng)
+                    if rnd.random() < 0.4:
+                        check(engine, state)
+        for state in states:
+            check(engine, state)
+    # the comparison is not vacuous: many checks see three draws or more
+    assert draws[3] > 500, draws

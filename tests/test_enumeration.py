@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -18,7 +19,13 @@ from gdlog.model import fact_key
 from gdlog.parser import render_fact
 
 from conftest import load_facts, load_program
-from test_chase import WORKED_OUTCOME_WEIGHT, _fact, worked_outcome
+from test_chase import (
+    SYMBOL_DRAW_REJECTION,
+    WORKED_OUTCOME_WEIGHT,
+    _fact,
+    _symbol_draw_case,
+    worked_outcome,
+)
 
 
 def dist_as_json(dist) -> str:
@@ -59,6 +66,16 @@ def test_burglar_contains_worked_outcome(burglar_dist, burglar, burglar_edb):
 def test_outcome_fact_sets_are_distinct(burglar_dist):
     seen = {o.facts for o, _ in burglar_dist.entries}
     assert len(seen) == len(burglar_dist.entries)
+
+
+def test_ties_are_ordered_by_sorted_facts(burglar_dist):
+    entries = list(burglar_dist.entries)
+    assert entries == sorted(
+        entries, key=lambda op: (-op[1], tuple(sorted(map(fact_key, op[0].facts))))
+    )
+    # symmetric units give many leaves of equal mass
+    ties = Counter(p for _, p in entries)
+    assert max(ties.values()) > 2
 
 
 def test_probabilities_sum_below_one(burglar_dist):
@@ -306,3 +323,8 @@ def test_cylinder_rejects_zero_weight_choice(burglar, burglar_edb):
     )
     assert isinstance(got, Rejection)
     assert "zero-weight" in got.reason or "not a derivation set" in got.reason
+
+
+def test_cylinder_rejects_symbol_as_drawn_value(registry):
+    p, edb, drawn = _symbol_draw_case(registry)
+    assert cylinder_mass(p, edb, drawn) == SYMBOL_DRAW_REJECTION
