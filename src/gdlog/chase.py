@@ -135,7 +135,6 @@ class ChaseState:
         "index",
         "ledger",
         "draws",
-        "log_weight",
         "steps",
         "pops",
     )
@@ -148,7 +147,6 @@ class ChaseState:
         self.index: dict = {}
         self.ledger: list = []  # ((distrel name, key sort key), pmf), sorted
         self.draws: list = []  # (distrel name, key, pmf) not yet in the ledger
-        self.log_weight = 0.0
         self.steps = 0
         self.pops = 0
 
@@ -160,7 +158,6 @@ class ChaseState:
         s.index = {}  # derived from facts, rebuilt on demand
         s.ledger = list(self.ledger)  # entries are immutable tuples
         s.draws = list(self.draws)
-        s.log_weight = self.log_weight
         s.steps = self.steps
         s.pops = self.pops
         return s
@@ -548,7 +545,6 @@ class ChaseEngine:
             obls[key] = value
             state.draws.append((rel, key, weight))
             row = dr.row(key, value)
-            state.log_weight += math.log(weight)
         state.add_row(rel, row)
         state.steps += 1
         self._discover(state, rel, row)

@@ -41,6 +41,8 @@ class RngStream:
     def __init__(self, base_seed: int, stream_index: int = 0):
         self.base_seed = int(base_seed)
         self.stream_index = int(stream_index)
+        if self.base_seed < 0 or self.stream_index < 0:
+            raise GdlogError(f"seed and stream index must be >= 0, got {self!r}")
         seq = np.random.SeedSequence(
             entropy=self.base_seed, spawn_key=(self.stream_index,)
         )

@@ -79,13 +79,21 @@ def enumerate_outcomes(
     paths still open when the budget ran out; explored and residual mass
     always total one up to float rounding.
     """
+    return _explore(g, input_facts, policy)[0]
+
+
+def _explore(g: Program, input_facts, policy, observe=None) -> tuple:
+    """The enumeration loop; returns (distribution, leaves dropped). A leaf
+    whose chase state fails the test ``observe(engine)`` returns is dropped
+    as soon as it is reached, before its facts are built."""
     if policy is None:
         policy = EnumerationPolicy()
     engine = ChaseEngine(
         to_existential(g), order=policy.order, order_seed=policy.order_seed
     )
+    keep = observe(engine) if observe is not None else None
     root = engine.initial_state(input_facts)
-
+    dropped = 0
     leaves: dict = {}  # frozenset of facts -> (Outcome, probability)
     residual_parts: list = []
     steps = 0
@@ -111,6 +119,9 @@ def enumerate_outcomes(
         stop = engine.run(state, None, start + policy.node_budget - steps, branch_at)
         steps += state.steps - start
         if stop is LEAF:
+            if keep is not None and not keep(state):
+                dropped += 1
+                continue
             facts = state.instance()
             assert facts not in leaves, "chase tree produced a duplicate leaf"
             prob = engine.canonical_mass(state)
@@ -157,7 +168,7 @@ def enumerate_outcomes(
         if len(tied) > 1:
             tied.sort(key=lambda op: sorted(map(fact_key, op[0].facts)))
         entries.extend(tied)
-    return OutcomeDistribution(tuple(entries), explored, residual)
+    return OutcomeDistribution(tuple(entries), explored, residual), dropped
 
 
 def cylinder_mass(g: Program, input_facts, derivation_set):

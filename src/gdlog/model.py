@@ -24,7 +24,6 @@ __all__ = [
     "ValidationReport",
     "GdlogError",
     "GroundingError",
-    "as_constant",
     "constant_key",
     "fact_key",
     "ground_atom",
@@ -42,15 +41,6 @@ class GroundingError(GdlogError):
 
 #: A constant is a real number (float) or an interned symbolic token (str).
 Constant = Union[float, str]
-
-
-def as_constant(value) -> Constant:
-    """Normalize a raw value into a constant (ints become floats)."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        raise GdlogError("booleans are not valid constants")
-    return float(value)
 
 
 def constant_key(c: Constant):

@@ -1,9 +1,9 @@
 """Constraints and posterior semantics.
 
-A program's constraints act as observations: the posterior is the prior
-outcome distribution conditioned on every constraint holding. Exact
-conditioning filters and renormalizes an enumerated prior; the Monte
-Carlo path rejection-samples seeded chase runs.
+A program's constraints act as observations, checked on chase states in
+place: the posterior is the prior conditioned on every constraint holding.
+Exact conditioning drops each failing enumerated leaf as it is reached and
+renormalizes; the Monte Carlo path rejection-samples seeded chase runs.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from .chase import (
     run_join,
 )
 from .distributions import RngStream
-from .enumeration import EnumerationPolicy, OutcomeDistribution, enumerate_outcomes
+from .enumeration import EnumerationPolicy, OutcomeDistribution, _explore
 from .model import DeltaTerm, Fact, GdlogError, Program, constant_key
 from .parser import render_fact
 from .translate import to_existential
@@ -56,11 +56,9 @@ class _CompiledConstraint:
     """A constraint body compiled to a join plan; the head is ground from
     the same slots.
 
-    Without ``schema`` the plan runs over rows grouped by (relation,
-    arity), so that an atom never meets a row of another arity. With the
-    chase's ``schema`` (relation -> arity) it runs over the chase state
-    itself, where every row has its relation's arity, so an atom of
-    another arity can match nothing.
+    With the chase's ``schema`` (relation -> arity) the plan runs over a
+    chase state, where an atom of another arity matches nothing; without
+    it, over rows that ``check_constraints`` groups by (relation, arity).
     """
 
     __slots__ = ("plan", "nvars", "var_names", "head")
@@ -99,20 +97,19 @@ class _CompiledConstraint:
         return row in source.facts.get(rel, ())
 
 
-def _source(facts) -> ChaseState:
-    """A fact set as a join source keyed by (relation, arity)."""
-    source = ChaseState()
-    for f in facts:
-        source.facts.setdefault((f.relation, len(f.args)), set()).add(f.args)
-    return source
-
-
 def _satisfies_all(compiled, source: ChaseState) -> bool:
     for c in compiled:
         for slots in c.bindings(source):
             if not c.head_holds(source, slots):
                 return False
     return True
+
+
+def _observations(p: Program, engine: ChaseEngine):
+    """The program's constraints as one test of a chase state in place."""
+    schema = engine.ghat.schema()
+    compiled = [_CompiledConstraint(c, schema) for c in p.constraints]
+    return lambda state: _satisfies_all(compiled, state)
 
 
 @dataclass(frozen=True)
@@ -124,13 +121,12 @@ class ConstraintReport:
 def check_constraints(outcome_facts, constraints) -> ConstraintReport:
     """Check every constraint on a fact set; violations list the failing
     (constraint index, body binding) pairs."""
-    source = _source(outcome_facts)
-    for (rel, _), rows in source.facts.items():
-        for row in rows:
-            if any(v != v for v in row):
-                # an index matches one NaN object to itself; NaN equals nothing
-                fact = render_fact(Fact(rel, row))
-                raise GdlogError(f"fact {fact}: NaN is not a constant")
+    source = ChaseState()  # rows keyed by (relation, arity)
+    for f in outcome_facts:
+        if any(v != v for v in f.args):
+            # an index matches one NaN object to itself; NaN equals nothing
+            raise GdlogError(f"fact {render_fact(f)}: NaN is not a constant")
+        source.facts.setdefault((f.relation, len(f.args)), set()).add(f.args)
     violations = []
     for i, c in enumerate(map(_CompiledConstraint, constraints)):
         bad = [
@@ -146,8 +142,8 @@ def check_constraints(outcome_facts, constraints) -> ConstraintReport:
 def exact_posterior(
     p: Program, input_facts, policy: EnumerationPolicy | None = None
 ) -> OutcomeDistribution:
-    """Enumerate the prior, keep constraint-satisfying outcomes, and
-    renormalize by the retained mass.
+    """Enumerate the prior, checking each leaf's chase state in place as
+    it is reached, and renormalize by the retained mass.
 
     If nothing is retained the input is illegal (raises IllegalInput),
     unless unexplored mass remains, which raises UndeterminedLegality
@@ -156,27 +152,20 @@ def exact_posterior(
     explored; with positive residual the result is conditioned on the
     explored region and the prior residual is not redistributed.
     """
-    prior = enumerate_outcomes(p, input_facts, policy)
-    compiled = [_CompiledConstraint(c) for c in p.constraints]
-    retained = [
-        (outcome, prob)
-        for outcome, prob in prior.entries
-        if _satisfies_all(compiled, _source(outcome.facts))
-    ]
-    retained_mass = math.fsum(prob for _, prob in retained)
-    if retained_mass <= LEGALITY_THRESHOLD:
-        if prior.residual_mass < LEGALITY_THRESHOLD:
+    kept, dropped = _explore(p, input_facts, policy, lambda e: _observations(p, e))
+    if kept.explored_mass <= LEGALITY_THRESHOLD:
+        if kept.residual_mass < LEGALITY_THRESHOLD:
             raise IllegalInput(
                 "no possible outcome satisfies the constraints: "
                 "the condition set has measure zero"
             )
         raise UndeterminedLegality(
             "no explored outcome satisfies the constraints, but "
-            f"{prior.residual_mass:.6g} mass is unexplored: legality undetermined"
+            f"{kept.residual_mass:.6g} mass is unexplored: legality undetermined"
         )
-    if len(retained) == len(prior.entries):
-        return prior
-    entries = tuple((o, prob / retained_mass) for o, prob in retained)
+    if not dropped:
+        return kept
+    entries = tuple((o, prob / kept.explored_mass) for o, prob in kept.entries)
     explored = math.fsum(prob for _, prob in entries)
     return OutcomeDistribution(entries, explored, 0.0)
 
@@ -221,8 +210,7 @@ def estimate_posterior(
         raise GdlogError("sample count must be >= 1")
     engine = ChaseEngine(to_existential(p))
     template = engine.initial_state(input_facts)
-    schema = engine.ghat.schema()
-    compiled = [_CompiledConstraint(c, schema) for c in p.constraints]
+    observed = _observations(p, engine)
     accepted = 0
     exhausted = 0
     hits = 0
@@ -232,7 +220,7 @@ def estimate_posterior(
         if status == BUDGET_EXHAUSTED:
             exhausted += 1
             continue
-        if not _satisfies_all(compiled, state):
+        if not observed(state):
             continue
         accepted += 1
         if query.args in state.facts.get(query.relation, ()):

@@ -7,19 +7,29 @@ re-running every applicable firing on each pass, and the enumeration's
 own loop over each path's deterministic prefix. Their masses come from
 ``old_canonical_mass`` and ``old_canonical_log_mass``, which re-sort the
 drawn facts and re-weigh each through the public pmf instead of reading
-the state's draw ledger. The property tests check that the engine
-returns the same masses, rejection reasons and enumerated distributions.
+the state's draw ledger. ``old_exact_posterior`` conditions an
+enumerated prior as it did before leaves were checked in place: every
+outcome's facts are regrouped by (relation, arity) and checked there.
+The property tests check that the engine returns the same masses,
+rejection reasons, enumerated distributions and posteriors.
 """
 from __future__ import annotations
 
 import heapq
 import math
 
-from gdlog.chase import LEAF, ChaseEngine, Outcome, Rejection
+from gdlog.chase import LEAF, ChaseEngine, ChaseState, Outcome, Rejection
 from gdlog.distributions import DomainError
 from gdlog.enumeration import EnumerationPolicy, OutcomeDistribution
 from gdlog.model import Fact, constant_key, fact_key
 from gdlog.parser import render_fact
+from gdlog.ppdl import (
+    LEGALITY_THRESHOLD,
+    IllegalInput,
+    UndeterminedLegality,
+    _CompiledConstraint,
+    _satisfies_all,
+)
 from gdlog.translate import to_existential
 
 
@@ -250,3 +260,37 @@ def old_enumerate_outcomes(g, input_facts, policy: EnumerationPolicy | None = No
         key=lambda op: (-op[1], tuple(sorted(fact_key(f) for f in op[0].facts))),
     )
     return OutcomeDistribution(tuple(entries), explored, residual)
+
+
+def _source(facts) -> ChaseState:
+    """A fact set as a join source keyed by (relation, arity)."""
+    source = ChaseState()
+    for f in facts:
+        source.facts.setdefault((f.relation, len(f.args)), set()).add(f.args)
+    return source
+
+
+def old_exact_posterior(p, input_facts, policy: EnumerationPolicy | None = None):
+    prior = old_enumerate_outcomes(p, input_facts, policy)
+    compiled = [_CompiledConstraint(c) for c in p.constraints]
+    retained = [
+        (outcome, prob)
+        for outcome, prob in prior.entries
+        if _satisfies_all(compiled, _source(outcome.facts))
+    ]
+    retained_mass = math.fsum(prob for _, prob in retained)
+    if retained_mass <= LEGALITY_THRESHOLD:
+        if prior.residual_mass < LEGALITY_THRESHOLD:
+            raise IllegalInput(
+                "no possible outcome satisfies the constraints: "
+                "the condition set has measure zero"
+            )
+        raise UndeterminedLegality(
+            "no explored outcome satisfies the constraints, but "
+            f"{prior.residual_mass:.6g} mass is unexplored: legality undetermined"
+        )
+    if len(retained) == len(prior.entries):
+        return prior
+    entries = tuple((o, prob / retained_mass) for o, prob in retained)
+    explored = math.fsum(prob for _, prob in entries)
+    return OutcomeDistribution(entries, explored, 0.0)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 from gdlog.analysis import (
     Position,
     build_dependency_graph,
@@ -9,7 +12,9 @@ from gdlog.analysis import (
 from gdlog.model import Program
 from gdlog.parser import parse_program
 
-from conftest import load_program
+from conftest import CORPUS, load_program
+from old_analysis import old_is_weakly_acyclic
+from randprog import random_program
 
 
 def test_burglar_dependency_graph(burglar):
@@ -100,3 +105,18 @@ def test_dot_output(burglar):
     dot = to_dot(build_dependency_graph(burglar))
     assert dot.startswith("digraph")
     assert '"Unit.1" -> "Burglary.3" [style=dashed' in dot
+
+
+def test_reachability_matches_old_scc_check(registry):
+    # same verdict and same witness as the strongly-connected-component
+    # check on random programs and on every corpus program
+    programs = [random_program(random.Random(s), registry)[0] for s in range(5000)]
+    programs += [load_program(p.name, registry) for p in sorted(CORPUS.glob("*.gdl"))]
+    lengths = Counter()
+    for p in programs:
+        result = is_weakly_acyclic(p)
+        assert result == old_is_weakly_acyclic(p)
+        lengths[len(result.witness) if result.witness else 0] += 1
+    # not vacuous: both verdicts, self-loop witnesses and longer cycles
+    assert lengths[0] > 1000 and lengths[1] > 100
+    assert sum(n for k, n in lengths.items() if k > 1) > 100

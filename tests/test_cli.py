@@ -210,6 +210,33 @@ def test_domain_error_exit_2(tmp_path, capsys):
     assert "must be in [0, 1]" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", CORPUS / "burglar.gdl", "--edb", CORPUS / "burglar.facts"),
+        (
+            "infer",
+            CORPUS / "burglar_ppdl.gdl",
+            "--edb",
+            CORPUS / "burglar_report.facts",
+            "--query",
+            'Earthquake("Napa", 1)',
+            "--mode",
+            "mc",
+            "--samples",
+            "10",
+        ),
+    ],
+    ids=["sample", "infer-mc"],
+)
+def test_negative_seed_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "must be >= 0" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/nowhere.gdl")
     assert code == 1

@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 
 from gdlog.distributions import DomainError, Registry, RngStream
+from gdlog.model import GdlogError
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +167,12 @@ def test_streams_differ_across_indexes():
     a = [flip.sample([0.5], RngStream(99, i)) for i in range(64)]
     b = [flip.sample([0.5], RngStream(99, i + 64)) for i in range(64)]
     assert a != b
+
+
+def test_negative_seed_or_stream_index_rejected():
+    for seed, index in ((-1, 0), (0, -1), (-(2**70), 3)):
+        with pytest.raises(GdlogError, match="must be >= 0"):
+            RngStream(seed, index)
 
 
 def test_degenerate_flip_sample(reg):

@@ -7,10 +7,14 @@ subsets of their derived facts, and sets with one tampered fact must
 get the same mass (compared with ``==``) or the same rejection reason
 from both, and enumeration must render the same JSON bytes. The masses
 read from a state's draw ledger must equal, bit for bit, the old ones
-recomputed from its drawn facts.
+recomputed from its drawn facts. With random constraints added,
+``exact_posterior``, which checks each leaf's chase state in place, must
+return the same posterior or raise the same error as the old
+conditioning of the enumerated prior's fact sets.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -24,7 +28,8 @@ from gdlog.chase import (
 )
 from gdlog.distributions import RngStream
 from gdlog.enumeration import EnumerationPolicy, cylinder_mass, enumerate_outcomes
-from gdlog.model import Fact, fact_key
+from gdlog.model import Fact, GdlogError, fact_key, validate_program
+from gdlog.ppdl import exact_posterior
 from gdlog.translate import to_existential
 
 from old_drivers import (
@@ -32,10 +37,12 @@ from old_drivers import (
     old_canonical_mass,
     old_cylinder_mass,
     old_enumerate_outcomes,
+    old_exact_posterior,
     old_replay_weight,
 )
 from randprog import random_program
 from test_enumeration import dist_as_json
+from test_join_oracle import _random_constraint
 
 SEEDS = range(300)
 STEPS = 40
@@ -159,3 +166,37 @@ def test_ledger_mass_matches_old_canonical_mass(registry):
             check(engine, state)
     # the comparison is not vacuous: many checks see three draws or more
     assert draws[3] > 500, draws
+
+
+def _posterior(condition, program, facts, policy):
+    try:
+        dist = condition(program, facts, policy)
+    except GdlogError as e:
+        return type(e), str(e)
+    return dist.entries, dist.explored_mass, dist.residual_mass
+
+
+def test_exact_posterior_matches_old_conditioning(registry):
+    rnd = random.Random(4242)
+    kinds = Counter()
+    for seed in SEEDS:
+        program, facts = random_program(random.Random(seed), registry)
+        while True:  # a valid program: declared relations, no draw terms
+            constraints = [_random_constraint(rnd) for _ in range(rnd.randint(1, 2))]
+            constrained = dataclasses.replace(program, constraints=constraints)
+            if validate_program(constrained).ok:
+                program = constrained
+                break
+        for budget in (1, 6, 40, 200):
+            order = ("fifo", "reversed-rules", "random")[seed % 3]
+            policy = EnumerationPolicy(node_budget=budget, order=order, order_seed=seed)
+            got = _posterior(exact_posterior, program, facts, policy)
+            assert got == _posterior(old_exact_posterior, program, facts, policy)
+            if isinstance(got[0], type):
+                kinds[got[0].__name__] += 1
+            else:
+                prior = enumerate_outcomes(program, facts, policy)
+                kinds["unchanged" if got[0] == prior.entries else "renormalized"] += 1
+    # not vacuous: every result occurs, with and without dropped leaves
+    assert set(kinds) == {"IllegalInput", "UndeterminedLegality", "unchanged", "renormalized"}
+    assert min(kinds.values()) > 20, kinds
