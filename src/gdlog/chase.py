@@ -104,6 +104,14 @@ class Firing:
         return dict(self.binding_items)
 
 
+class _ZeroWeight(DomainError):
+    """A forced choice with no mass; ``firing`` is (value, relation, key)."""
+
+    def __init__(self, message: str, firing: tuple):
+        super().__init__(message)
+        self.firing = firing
+
+
 @dataclass(frozen=True)
 class Rejection:
     """Why a candidate fact set was not accepted."""
@@ -532,9 +540,10 @@ class ChaseEngine:
                 value = float(choice)
                 weight = spec._pmf(value, params)
                 if weight <= 0.0:
-                    raise DomainError(
+                    raise _ZeroWeight(
                         f"{self._firing_context(rule, slots)}: value {value} "
-                        f"outside support of {dr.dist}"
+                        f"outside support of {dr.dist}",
+                        (choice, rel, key),
                     )
             else:
                 if rng is None:
@@ -667,10 +676,8 @@ class ChaseEngine:
                 key = self._ground(rule.obl_args, slots)
                 if key in keyed[dr.name]:
                     value = keyed[dr.name][key]
-                    # a symbol has no mass under any numeric distribution
-                    if isinstance(value, str) or (
-                        rule.spec.pmf(value, dr.params(key)) <= 0.0
-                    ):
+                    # a symbol has no mass; apply rejects a numeric zero weight
+                    if isinstance(value, str):
                         return Rejection(
                             f"zero-weight choice {value} on {dr.name} at {key}"
                         )
@@ -686,7 +693,10 @@ class ChaseEngine:
 
         state = self.initial_state(input_facts)
         # each step adds a target fact, so this budget is never reached
-        stop = self.run(state, None, len(target) + 1, choose)
+        try:
+            stop = self.run(state, None, len(target) + 1, choose)
+        except _ZeroWeight as e:
+            return Rejection("zero-weight choice {} on {} at {}".format(*e.firing))
         if isinstance(stop, Rejection):
             return stop
         left = sorted(target - state.instance(), key=fact_key)

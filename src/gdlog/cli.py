@@ -21,7 +21,6 @@ from .distributions import DomainError, Registry, RngStream
 from .enumeration import EnumerationPolicy, enumerate_outcomes, marginal_bounds
 from .model import GdlogError, fact_key, validate_program
 from .parser import (
-    ParseError,
     load_edb_csv,
     parse_fact_literal,
     parse_facts,
@@ -247,19 +246,13 @@ def main(argv=None) -> int:
         code = _COMMANDS[args.command](args)
         _log(f"{args.command} finished in {time.perf_counter() - started:.3f}s")
         return code
-    except (ParseError,) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     except IllegalInput as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ILLEGAL
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
-    except GdlogError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as e:
+    except (GdlogError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

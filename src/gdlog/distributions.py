@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterator
-
-import numpy as np
 
 from .model import GdlogError
 
@@ -31,11 +30,59 @@ class DomainError(GdlogError):
     """Raised when a distribution parameter is outside its valid domain."""
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# SeedSequence's k-th hash: xor _HASH_A[k], times _HASH_A[k + 1] (_HASH_B: output)
+_HASH_A = tuple(0x43B0D7E5 * pow(0x931E8875, k, 1 << 32) & _M32 for k in range(17))
+_HASH_B = tuple(0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) & _M32 for i in range(9))
+_CROSS = tuple((src, dst) for src in range(4) for dst in range(4) if src != dst)
+
+
+def _words(n: int, size: int = 1) -> list:
+    """32-bit words of ``n >= 0``, least significant first, at least ``size``."""
+    return [n >> s & _M32 for s in range(0, max(n.bit_length(), 32 * size - 31), 32)]
+
+
+def _hash(v: int, x: int, m: int) -> int:
+    v = (v ^ x) * m & _M32
+    return v ^ v >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    m = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return m ^ m >> 16
+
+
+@lru_cache(maxsize=16)
+def _seed_pool(head: tuple) -> tuple:
+    """SeedSequence's pool after its first 4 entropy words, all the seed's."""
+    pool = [_hash(v, _HASH_A[k], _HASH_A[k + 1]) for k, v in enumerate(head)]
+    for k, (src, dst) in enumerate(_CROSS, 4):
+        pool[dst] = _mix(pool[dst], _hash(pool[src], _HASH_A[k], _HASH_A[k + 1]))
+    return tuple(pool)
+
+
+def _pcg_seed(seed: int, index: int) -> tuple:
+    """PCG64 (state, increment) seeded by SeedSequence(seed, spawn_key=(index,))."""
+    entropy = _words(seed, 4) + _words(index)
+    pool, c = list(_seed_pool(tuple(entropy[:4]))), _HASH_A[16]
+    # word k >> 2 mixes into pool word k & 3; the hash constants run on
+    for k in range(16, 4 * len(entropy)):
+        x, c = c, c * 0x931E8875 & _M32
+        pool[k & 3] = _mix(pool[k & 3], _hash(entropy[k >> 2], x, c))
+    w = [_hash(pool[i & 3], _HASH_B[i], _HASH_B[i + 1]) for i in range(8)]
+    inc = ((w[4] | w[5] << 32) << 65 | (w[6] | w[7] << 32) << 1 | 1) & _M128
+    start = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
+    return ((inc + start) * _PCG_MULT + inc) & _M128, inc
+
+
 class RngStream:
     """Deterministic uniform stream keyed by (base_seed, stream_index).
 
-    Equal pairs yield bit-identical draws; distinct pairs give
-    statistically independent streams (numpy SeedSequence spawning).
+    Equal pairs yield bit-identical draws; distinct pairs give statistically
+    independent streams. SeedSequence hashing seeds PCG64, a 128-bit LCG with
+    XSL-RR output (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
+    Statistically Good Algorithms for Random Number Generation", 2014).
     """
 
     def __init__(self, base_seed: int, stream_index: int = 0):
@@ -43,14 +90,13 @@ class RngStream:
         self.stream_index = int(stream_index)
         if self.base_seed < 0 or self.stream_index < 0:
             raise GdlogError(f"seed and stream index must be >= 0, got {self!r}")
-        seq = np.random.SeedSequence(
-            entropy=self.base_seed, spawn_key=(self.stream_index,)
-        )
-        self._gen = np.random.Generator(np.random.PCG64(seq))
+        self._state, self._inc = _pcg_seed(self.base_seed, self.stream_index)
 
     def uniform(self) -> float:
-        """Next float64 in [0, 1)."""
-        return float(self._gen.random())
+        """Next float64 in [0, 1): the top 53 bits of PCG64's next output."""
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x, r = (s >> 64 ^ s) & _M64, s >> 122
+        return (((x >> r | x << (64 - r)) & _M64) >> 11) * 2.0**-53
 
     def __repr__(self) -> str:
         return f"RngStream({self.base_seed}, {self.stream_index})"

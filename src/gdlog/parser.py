@@ -335,7 +335,7 @@ def parse_program(text: str, dists, filename: str = "<string>") -> Program:
             name_tok = p.expect_ident("relation name")
             p.expect_punct("/")
             arity_tok = p.next()
-            if arity_tok.kind != "number" or arity_tok.value != int(arity_tok.value):
+            if arity_tok.kind != "number" or not arity_tok.value.is_integer():
                 raise p.error(arity_tok, "expected an integer arity")
             arity = int(arity_tok.value)
             if arity < 1:

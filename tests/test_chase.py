@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -368,6 +369,45 @@ def test_replay_rejects_symbol_as_drawn_value(registry):
     # a symbol has no mass under any numeric distribution
     p, edb, drawn = _symbol_draw_case(registry)
     assert replay_weight(p, edb, edb | drawn) == SYMBOL_DRAW_REJECTION
+
+
+def test_replay_rejects_zero_weight_choice(burglar, burglar_edb):
+    # a Flip draw of 0.5 has no mass; the engine weighs it when applying
+    flip = _fact("Earthquake__Flip__2", "Napa", 1, 0.01)
+    moved = _fact("Earthquake__Flip__2", "Napa", 0.5, 0.01)
+    candidate = (worked_outcome(burglar_edb) - {flip}) | {moved}
+    assert replay_weight(burglar, burglar_edb, candidate) == Rejection(
+        "zero-weight choice 0.5 on Earthquake__Flip__2 at ('Napa', 0.01)"
+    )
+
+
+def test_replay_bad_parameter_is_domain_error(registry):
+    from gdlog.parser import parse_facts, parse_program
+
+    p = parse_program("edb S/2.\nidb R/2.\nR(x, Flip[q]) :- S(x, q).\n", registry)
+    edb = parse_facts('S("a", 1.5).', p.edb)
+    drawn = {_fact("R__Flip__2", "a", 1, 1.5), _fact("R", "a", 1)}
+    with pytest.raises(DomainError, match=r"rule 0 \[.*q=1.5.*\]: Flip"):
+        replay_weight(p, edb, edb | drawn)
+
+
+def test_replay_weighs_each_forced_draw_once(burglar, burglar_edb, monkeypatch):
+    from gdlog.distributions import DistributionSpec
+
+    outcome = sample_outcome(burglar, burglar_edb, seed=7).facts
+    calls = Counter()
+    for name in ("check_params", "pmf"):
+        method = getattr(DistributionSpec, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(DistributionSpec, name, counted)
+    assert not isinstance(replay_weight(burglar, burglar_edb, outcome), Rejection)
+    draws = sum("__" in f.relation for f in outcome)
+    assert draws == 6
+    assert calls == Counter(check_params=draws)
 
 
 def test_replay_escape_leaf(registry):

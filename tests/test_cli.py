@@ -288,6 +288,47 @@ def test_output_identical_across_processes(capsys):
     assert outs[0] == in_process.encode()
 
 
+def test_runs_without_numpy():
+    # the standard library is the only runtime dependency
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import gdlog
+
+    root = Path(__file__).resolve().parent
+    env = {
+        "PATH": "/usr/bin:/bin",
+        "PYTHONPATH": str(Path(gdlog.__file__).resolve().parents[1]),
+    }
+    # a None entry makes any ``import numpy`` fail
+    child = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from gdlog.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    args = ["sample", "corpus/burglar.gdl", "--edb", "corpus/burglar.facts"]
+    proc = subprocess.run(
+        [sys.executable, "-c", child, *args, "--seed", "7"],
+        capture_output=True,
+        cwd=root.parent,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (root / "golden" / "sample_burglar.out").read_bytes()
+
+    loaded = (
+        "import sys, gdlog.cli\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'numpy'])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", loaded], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_verbosity_env_never_affects_results(capsys, monkeypatch):
     args = (
         "enumerate",

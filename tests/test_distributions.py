@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -8,6 +9,8 @@ import scipy.stats
 
 from gdlog.distributions import DomainError, Registry, RngStream
 from gdlog.model import GdlogError
+
+from numpy_rng import NumpyRngStream
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +170,25 @@ def test_streams_differ_across_indexes():
     a = [flip.sample([0.5], RngStream(99, i)) for i in range(64)]
     b = [flip.sample([0.5], RngStream(99, i + 64)) for i in range(64)]
     assert a != b
+
+
+def test_stream_matches_numpy_oracle():
+    # bit-identical to numpy's SeedSequence -> PCG64 -> random(), including
+    # seeds and indices of several 32-bit words
+    rnd = random.Random(2014)
+    seeds = [0, 1, 7, 2**32 - 1, 2**32, 2**63, 2**64 + 5, 2**96 - 1, 10**30, 2**1000 + 9]
+    seeds += [rnd.getrandbits(rnd.choice((8, 31, 33, 64, 65, 127, 200))) for _ in range(10)]
+    indices = [0, 1, 2, 63, 2**32 - 1, 2**32, 2**64, 2**127 - 1, 2**200 + 1]
+    indices += [rnd.getrandbits(rnd.choice((8, 32, 40, 96))) for _ in range(6)]
+    pairs = [(s, i) for s in seeds for i in indices]
+    assert len(set(pairs)) >= 300
+    draws = 0
+    for seed, index in pairs:
+        got, want = RngStream(seed, index), NumpyRngStream(seed, index)
+        for _ in range(34):
+            assert got.uniform() == want.uniform(), (seed, index)
+            draws += 1
+    assert draws >= 10_000
 
 
 def test_negative_seed_or_stream_index_rejected():

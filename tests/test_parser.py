@@ -66,6 +66,7 @@ def test_variable_param_draw(registry):
         ("edb S/1.\nS(x).", "expected ':-' or '=>'"),
         ("edb S/1.\nedb S/2.", "duplicate declaration"),
         ("edb S/0.", "arity must be positive"),
+        ("edb A/1e999.", "expected an integer arity"),
         ("edb S__x/1.", "reserved"),
         ('edb S/1.\nidb R/1.\nR(Foo) :- S(Foo).', "variables start lowercase"),
         ("edb S/1.\nidb R/1.\nR(x) :- S(x), .", "expected relation name"),
