@@ -20,6 +20,16 @@ when the last of its body rows arrives, so the frontier needs no record
 of past firings: the only duplicates are within one discovery batch,
 when the new row matches several atoms of one rule.
 
+Each rule is specialised once, when the engine is built, into closures
+generated over its compiled atoms, so the hot path interprets no terms:
+``head_key(slots)`` grounds the head row, or the functional-dependency
+key of a drawn head; ``body_rows`` ground the body atoms; and
+``matchers[j](row)`` checks a new row against the constants and repeated
+variables of body atom j and returns the slots it binds, already the
+whole binding when the body is that one atom, so no join runs. Constants
+reach the generated code through its namespace, never through its
+source text.
+
 ``ChaseEngine.run`` is the one chase driver, steered by an optional
 ``choose(rule, slots)`` callback that sees every firing before it is
 applied and picks the value to draw, skips the firing, or stops the run
@@ -265,36 +275,36 @@ def run_join(state: ChaseState, plan: tuple, slots) -> list:
     """Every binding (a tuple of slot values) that extends ``slots`` and
     matches all atoms of ``plan`` against ``state``, one per combination
     of matching rows."""
-    results = []
-    cur = list(slots)
-    last = len(plan) - 1
-    if last < 0:
-        return [tuple(cur)]
-
-    # ``cur`` is updated in place: a step only reads slots that earlier
-    # steps bound, and rebinds its own slots for every row it tries
-    def rec(k: int) -> None:
-        rel, positions, key_src, binds, checks = plan[k]
-        if not positions:
-            rows = state.facts.get(rel, ())
-        elif len(key_src) == 1:
-            is_var, p = key_src[0]
-            rows = state.rows_matching(rel, positions, cur[p] if is_var else p)
-        else:
-            key = tuple(cur[p] if is_var else p for is_var, p in key_src)
-            rows = state.rows_matching(rel, positions, key)
-        for row in rows:
-            if checks and any(row[a] != row[b] for a, b in checks):
-                continue
-            for pos, slot in binds:
-                cur[slot] = row[pos]
-            if k == last:
-                results.append(tuple(cur))
-            else:
-                rec(k + 1)
-
-    rec(0)
+    if not plan:
+        return [tuple(slots)]
+    results: list = []
+    _join_step(state, plan, 0, list(slots), results)
     return results
+
+
+def _join_step(state: ChaseState, plan: tuple, k: int, cur: list, results: list):
+    # one flat loop over the rows of step k, recursing for the steps after
+    # it; ``cur`` is updated in place: a step only reads slots that earlier
+    # steps bound, and rebinds its own slots for every row it tries
+    rel, positions, key_src, binds, checks = plan[k]
+    if not positions:
+        rows = state.facts.get(rel, ())
+    elif len(key_src) == 1:
+        is_var, p = key_src[0]
+        rows = state.rows_matching(rel, positions, cur[p] if is_var else p)
+    else:
+        key = tuple(cur[p] if is_var else p for is_var, p in key_src)
+        rows = state.rows_matching(rel, positions, key)
+    last = k + 1 == len(plan)
+    for row in rows:
+        if checks and any(row[a] != row[b] for a, b in checks):
+            continue
+        for pos, slot in binds:
+            cur[slot] = row[pos]
+        if last:
+            results.append(tuple(cur))
+        else:
+            _join_step(state, plan, k + 1, cur, results)
 
 
 class _CompiledRule:
@@ -305,11 +315,13 @@ class _CompiledRule:
         "plans",
         "nvars",
         "var_names",
+        "matchers",
         "head_rel",
         "head_args",
+        "head_key",
+        "body_rows",
         "distrel",
         "spec",
-        "obl_args",
         "source",
     )
 
@@ -324,6 +336,40 @@ def _compile_atom_args(args, slot_of: dict):
         else:
             out.append((False, t))
     return tuple(out)
+
+
+def _grounder(args):
+    """``lambda s: row``: the tuple that compiled ``args`` ground to over
+    the slot tuple ``s``. Constants reach the code through its namespace,
+    never through its source."""
+    ns: dict = {}
+    terms = []
+    for is_var, p in args:
+        if not is_var:
+            ns[f"c{len(ns)}"] = p
+        terms.append(f"s[{p}], " if is_var else f"c{len(ns) - 1}, ")
+    return eval(f"lambda s: ({''.join(terms)})", ns)
+
+
+def _matcher(args, nvars: int):
+    """``lambda r: slots``: the slot tuple that row ``r`` binds when it
+    matches compiled ``args`` (None in every other slot), or None if it
+    differs from a constant or holds two values for a repeated variable."""
+    ns: dict = {}
+    tests = []
+    slots = ["None"] * nvars
+    for pos, (is_var, p) in enumerate(args):
+        if not is_var:
+            ns[f"c{len(ns)}"] = p
+            tests.append(f"r[{pos}] != c{len(ns) - 1}")
+        elif slots[p] == "None":
+            slots[p] = f"r[{pos}]"
+        else:
+            tests.append(f"r[{pos}] != {slots[p]}")
+    out = f"({''.join(v + ', ' for v in slots)})"
+    if tests:
+        out = f"None if {' or '.join(tests)} else {out}"
+    return eval(f"lambda r: {out}", ns)
 
 
 def _binding_sort_key(slots) -> tuple:
@@ -381,15 +427,18 @@ class ChaseEngine:
             c.distrel = dr
             c.spec = spec
             c.head_rel = dr.name
-            c.obl_args = _compile_atom_args(dr.split(rule.head.args)[0], slot_of)
-            c.head_args = None
+            head = dr.split(rule.head.args)[0]
         else:
             c.distrel = None
             c.spec = None
             c.head_rel = rule.head.relation
-            c.head_args = _compile_atom_args(rule.head.args, slot_of)
-            c.obl_args = None
+            head = rule.head.args
+        # the head row, or the functional-dependency key of a drawn head
+        c.head_args = _compile_atom_args(head, slot_of)
         c.nvars = len(slot_of)
+        c.head_key = _grounder(c.head_args)
+        c.body_rows = tuple(_grounder(args) for _, args in c.body)
+        c.matchers = tuple(_matcher(args, c.nvars) for _, args in c.body)
         names = [None] * len(slot_of)
         for name, slot in slot_of.items():
             names[slot] = name
@@ -398,32 +447,10 @@ class ChaseEngine:
 
     # -- joins ------------------------------------------------------------
 
-    @staticmethod
-    def _match(args, row, slots):
-        out = slots
-        copied = False
-        for (is_var, payload), val in zip(args, row):
-            if is_var:
-                cur = out[payload]
-                if cur is None:
-                    if not copied:
-                        out = list(out)
-                        copied = True
-                    out[payload] = val
-                elif cur != val:
-                    return None
-            elif payload != val:
-                return None
-        return out if copied else list(out)
-
     def _extend(self, state: ChaseState, rule: _CompiledRule, slots, skip_idx: int):
         """All full-body bindings extending ``slots``; atom skip_idx is
         already matched."""
         return run_join(state, rule.plans[skip_idx + 1], slots)
-
-    @staticmethod
-    def _ground(args, slots) -> tuple:
-        return tuple(slots[p] if is_var else p for is_var, p in args)
 
     # -- frontier ---------------------------------------------------------
 
@@ -435,7 +462,8 @@ class ChaseEngine:
         return (self._rule_order(idx), _binding_sort_key(slots))
 
     def _enqueue_batch(self, state: ChaseState, batch: list) -> None:
-        batch.sort(key=self._pend_key)
+        if len(batch) > 1:
+            batch.sort(key=self._pend_key)
         state.pending.extend(batch)
 
     def _seed_frontier(self, state: ChaseState) -> None:
@@ -449,8 +477,11 @@ class ChaseEngine:
     def _discover(self, state: ChaseState, rel: str, row: tuple) -> None:
         batch = []
         for rule, atom_idx in self._delta.get(rel, ()):
-            start = self._match(rule.body[atom_idx][1], row, [None] * rule.nvars)
+            start = rule.matchers[atom_idx](row)
             if start is None:
+                continue
+            if not rule.plans[atom_idx + 1]:
+                batch.append((rule.index, start))  # the body is this one atom
                 continue
             for slots in self._extend(state, rule, start, atom_idx):
                 batch.append((rule.index, slots))
@@ -472,11 +503,8 @@ class ChaseEngine:
         return state.pending.popleft()
 
     def head_satisfied(self, state: ChaseState, rule: _CompiledRule, slots) -> bool:
-        if rule.distrel is None:
-            row = self._ground(rule.head_args, slots)
-            return row in state.facts.get(rule.head_rel, ())
-        key = self._ground(rule.obl_args, slots)
-        return key in state.obls.get(rule.head_rel, {})
+        held = state.facts if rule.distrel is None else state.obls
+        return rule.head_key(slots) in held.get(rule.head_rel, ())
 
     def pop_applicable(self, state: ChaseState):
         """Next pending firing whose head is still unsatisfied, or None."""
@@ -526,10 +554,8 @@ class ChaseEngine:
         """Fire a rule instance, drawing ``choice`` or else from ``rng``;
         returns the added (relation, row)."""
         rel = rule.head_rel
-        if rule.distrel is None:
-            row = self._ground(rule.head_args, slots)
-        else:
-            key = self._ground(rule.obl_args, slots)
+        row = key = rule.head_key(slots)
+        if rule.distrel is not None:
             dr = rule.distrel
             spec = rule.spec
             try:  # checked once here: draw and _pmf do not check again
@@ -537,8 +563,9 @@ class ChaseEngine:
             except DomainError as e:
                 raise DomainError(f"{self._firing_context(rule, slots)}: {e}") from e
             if choice is not None:
-                value = float(choice)
-                weight = spec._pmf(value, params)
+                symbol = isinstance(choice, str)  # outside every numeric support
+                value = choice if symbol else float(choice)
+                weight = 0.0 if symbol else spec._pmf(value, params)
                 if weight <= 0.0:
                     raise _ZeroWeight(
                         f"{self._firing_context(rule, slots)}: value {value} "
@@ -668,24 +695,22 @@ class ChaseEngine:
 
         def choose(rule, slots):
             dr = rule.distrel
+            key = rule.head_key(slots)  # the head row of a deterministic rule
             if dr is None:
-                row = self._ground(rule.head_args, slots)
-                if row in target_rows.get(rule.head_rel, ()):
+                if key in target_rows.get(rule.head_rel, ()):
                     return None
-            else:
-                key = self._ground(rule.obl_args, slots)
-                if key in keyed[dr.name]:
-                    value = keyed[dr.name][key]
-                    # a symbol has no mass; apply rejects a numeric zero weight
-                    if isinstance(value, str):
-                        return Rejection(
-                            f"zero-weight choice {value} on {dr.name} at {key}"
-                        )
-                    return value
+            elif key in keyed[dr.name]:
+                value = keyed[dr.name][key]
+                # a symbol has no mass: rejected before apply checks the parameters
+                if isinstance(value, str):
+                    return Rejection(
+                        f"zero-weight choice {value} on {dr.name} at {key}"
+                    )
+                return value
             if not strict:
                 return SKIP
             if dr is None:
-                fact = render_fact(Fact(rule.head_rel, row))
+                fact = render_fact(Fact(rule.head_rel, key))
                 return Rejection(f"missing forced fact {fact}")
             return Rejection(
                 f"missing forced fact: unresolved obligation on {dr.name} at {key}"
@@ -735,8 +760,8 @@ class ChaseEngine:
         return rule, tuple(slots)
 
     def body_satisfied(self, state: ChaseState, rule: _CompiledRule, slots) -> bool:
-        for rel, args in rule.body:
-            if self._ground(args, slots) not in state.facts.get(rel, ()):
+        for (rel, _), ground in zip(rule.body, rule.body_rows):
+            if ground(slots) not in state.facts.get(rel, ()):
                 return False
         return True
 

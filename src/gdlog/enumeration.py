@@ -136,7 +136,7 @@ def _explore(g: Program, input_facts, policy, observe=None) -> tuple:
 
         # distributional firing: branch over the support
         rule, slots = firing
-        key = engine._ground(rule.obl_args, slots)
+        key = rule.head_key(slots)
         target = 1.0 - policy.mass_epsilon
         if not rule.spec.finite_support:
             target = min(target, policy.support_mass_target)

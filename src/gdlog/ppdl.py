@@ -15,6 +15,7 @@ from .chase import (
     ChaseEngine,
     ChaseState,
     _compile_atom_args,
+    _grounder,
     join_plan,
     run_join,
 )
@@ -82,7 +83,8 @@ class _CompiledConstraint:
         self.nvars = len(slot_of)
         self.var_names = tuple(slot_of)
         if c.head is not None and not _has_draw(c.head) and key(c.head) is not None:
-            self.head = (key(c.head), _compile_atom_args(c.head.args, slot_of))
+            args = _compile_atom_args(c.head.args, slot_of)
+            self.head = (key(c.head), _grounder(args))
 
     def bindings(self, source: ChaseState) -> list:
         if self.plan is None:
@@ -92,9 +94,8 @@ class _CompiledConstraint:
     def head_holds(self, source: ChaseState, slots) -> bool:
         if self.head is None:
             return False  # any body match is a violation
-        rel, args = self.head
-        row = tuple(slots[p] if is_var else p for is_var, p in args)
-        return row in source.facts.get(rel, ())
+        rel, ground = self.head
+        return ground(slots) in source.facts.get(rel, ())
 
 
 def _satisfies_all(compiled, source: ChaseState) -> bool:

@@ -3,12 +3,28 @@
 These are the engine's joins before it indexed them: every body atom is
 matched by scanning all rows of its relation. They are slow and simple,
 and the property tests check that the indexed kernel returns the same
-multiset of bindings.
+multiset of bindings. ``match`` interprets an atom term by term, as the
+engine did before it compiled a matcher per body atom; the property
+tests also check the compiled matchers against it.
 """
 from __future__ import annotations
 
-from gdlog.chase import ChaseEngine
 from gdlog.model import Variable, constant_key
+
+
+def match(args, row, slots):
+    """``slots`` extended by matching ``row`` against compiled ``args``
+    term by term (a new list), or None if a term disagrees."""
+    out = list(slots)
+    for (is_var, payload), val in zip(args, row):
+        if not is_var:
+            if payload != val:
+                return None
+        elif out[payload] is None:
+            out[payload] = val
+        elif out[payload] != val:
+            return None
+    return out
 
 
 def nested_extend(state, rule, slots, skip_idx: int) -> list:
@@ -23,7 +39,7 @@ def nested_extend(state, rule, slots, skip_idx: int) -> list:
             return
         rel, args = rule.body[order[k]]
         for row in state.facts.get(rel, ()):
-            nxt = ChaseEngine._match(args, row, cur)
+            nxt = match(args, row, cur)
             if nxt is not None:
                 rec(k + 1, nxt)
 

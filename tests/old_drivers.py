@@ -11,7 +11,9 @@ the state's draw ledger. ``old_exact_posterior`` conditions an
 enumerated prior as it did before leaves were checked in place: every
 outcome's facts are regrouped by (relation, arity) and checked there.
 The property tests check that the engine returns the same masses,
-rejection reasons, enumerated distributions and posteriors.
+rejection reasons, enumerated distributions and posteriors. Heads and
+functional-dependency keys are grounded by ``ground``, term by term, as
+the engine did before it compiled a ``head_key`` per rule.
 """
 from __future__ import annotations
 
@@ -31,6 +33,12 @@ from gdlog.ppdl import (
     _satisfies_all,
 )
 from gdlog.translate import to_existential
+
+
+def ground(args, slots) -> tuple:
+    """The row (or functional-dependency key) that compiled ``args``
+    ground to under ``slots``, interpreted term by term."""
+    return tuple(slots[p] if is_var else p for is_var, p in args)
 
 
 def _dist_facts_sorted(engine, state):
@@ -94,14 +102,14 @@ def old_replay_weight(g, input_facts, candidate):
             break
         rule, slots = nxt
         if rule.distrel is None:
-            row = engine._ground(rule.head_args, slots)
+            row = ground(rule.head_args, slots)
             if row not in cand_rows.get(rule.head_rel, ()):
                 return Rejection(
                     f"missing forced fact {render_fact(Fact(rule.head_rel, row))}"
                 )
             engine.apply(state, rule, slots)
         else:
-            key = engine._ground(rule.obl_args, slots)
+            key = ground(rule.head_args, slots)
             keyed = cand_obls.get(rule.head_rel, {})
             if key not in keyed:
                 return Rejection(
@@ -158,14 +166,14 @@ def old_cylinder_mass(g, input_facts, derivation_set):
             if engine.head_satisfied(state, rule, slots):
                 continue  # an earlier firing in this pass satisfied it
             if rule.distrel is None:
-                row = engine._ground(rule.head_args, slots)
+                row = ground(rule.head_args, slots)
                 if row in target_rows.get(rule.head_rel, ()) and row not in state.facts.get(
                     rule.head_rel, ()
                 ):
                     engine.apply(state, rule, slots)
                     progress = True
             else:
-                key = engine._ground(rule.obl_args, slots)
+                key = ground(rule.head_args, slots)
                 keyed = target_obls.get(rule.head_rel, {})
                 if key not in keyed:
                     continue
@@ -228,7 +236,7 @@ def old_enumerate_outcomes(g, input_facts, policy: EnumerationPolicy | None = No
                 continue
 
             dr = rule.distrel
-            key = engine._ground(rule.obl_args, slots)
+            key = ground(rule.head_args, slots)
             params = key[len(key) - dr.pardim :] if dr.pardim else ()
             target = 1.0 - policy.mass_epsilon
             if not rule.spec.finite_support:

@@ -154,6 +154,18 @@ def test_step_rejects_out_of_support_choice(burglar, burglar_edb):
         chase_step(state, quake, engine, choice=0.5)
 
 
+def test_step_rejects_symbolic_choice(burglar, burglar_edb):
+    # a symbol lies outside every numeric support; the error names the firing
+    engine = ChaseEngine(to_existential(burglar))
+    state = engine.initial_state(burglar_edb)
+    quake = next(
+        f for f in applicable_firings(state, engine) if f.rule_index == 0
+    )
+    with pytest.raises(DomainError, match=r"rule 0 \[.*\]: value s outside support"):
+        chase_step(state, quake, engine, choice="s")
+    assert "Earthquake__Flip__2" not in state.facts
+
+
 def test_step_rejects_inapplicable_firing(burglar, burglar_edb):
     engine = ChaseEngine(to_existential(burglar))
     state = engine.initial_state(burglar_edb)
