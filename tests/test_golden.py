@@ -44,6 +44,25 @@ README_CASES = [
         "infer", "corpus/burglar_ppdl.gdl", "--edb", "corpus/burglar_report.facts",
         "--query", QUERY, "--mode", "mc", "--samples", "2000", "--seed", "1",
     ]),
+    # exact inference beyond the fully explored case: renormalised over a
+    # truncated exploration, with support pruning, and without constraints
+    # (one with residual mass and a hit, one truncated with no hit)
+    ("infer_exact_burglar_ppdl_nodes300", 0, [
+        "infer", "corpus/burglar_ppdl.gdl", "--edb", "corpus/burglar_report.facts",
+        "--query", QUERY, "--mode", "exact", "--nodes", "300",
+    ]),
+    ("infer_exact_burglar_ppdl_epsilon", 0, [
+        "infer", "corpus/burglar_ppdl.gdl", "--edb", "corpus/burglar_report.facts",
+        "--query", QUERY, "--mode", "exact", "--nodes", "300", "--epsilon", "0.2",
+    ]),
+    ("infer_exact_doubling_escape", 0, [
+        "infer", "corpus/doubling_escape.gdl", "--edb", "corpus/escape.facts",
+        "--query", "R(0, 0)", "--mode", "exact", "--nodes", "300",
+    ]),
+    ("infer_exact_burglar_truncated", 0, [
+        "infer", "corpus/burglar.gdl", "--edb", "corpus/burglar.facts",
+        "--query", QUERY, "--mode", "exact", "--nodes", "50",
+    ]),
 ]
 
 # every corpus program that has a facts file; the doubling and fork
