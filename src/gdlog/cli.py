@@ -18,7 +18,7 @@ from pathlib import Path
 from .analysis import build_dependency_graph, is_weakly_acyclic, to_dot
 from .chase import ChaseEngine
 from .distributions import DomainError, Registry, RngStream
-from .enumeration import EnumerationPolicy, enumerate_outcomes, marginal_bounds
+from .enumeration import EnumerationPolicy, enumerate_outcomes
 from .model import GdlogError, fact_key, validate_program
 from .parser import (
     load_edb_csv,
@@ -27,7 +27,7 @@ from .parser import (
     parse_program,
     render_fact,
 )
-from .ppdl import IllegalInput, estimate_posterior, exact_posterior
+from .ppdl import IllegalInput, _exact_bounds, estimate_posterior
 from .translate import render_existential_program, to_existential
 
 EXIT_OK = 0
@@ -215,16 +215,15 @@ def _cmd_infer(args) -> int:
         )
         return EXIT_OK
     policy = EnumerationPolicy(mass_epsilon=args.epsilon, node_budget=args.nodes)
-    posterior = exact_posterior(program, input_facts, policy)
-    lo, hi = marginal_bounds(posterior, query)
+    lo, hi, explored, residual = _exact_bounds(program, input_facts, query, policy)
     _emit(
         {
             "mode": "exact",
             "query": render_fact(query),
             "point": lo,
             "point_upper": hi,
-            "explored_mass": posterior.explored_mass,
-            "residual_mass": posterior.residual_mass,
+            "explored_mass": explored,
+            "residual_mass": residual,
         }
     )
     return EXIT_OK

@@ -3,10 +3,15 @@
 Expansion is best-first on path mass so that truncation leaves a tight
 residual bound. Within a path the firing order is the engine's fair
 scheduler, so the tree explored here is a genuine chase tree. Every
-number reported is derived canonically from fact sets (sorted products,
-order-invariant float sums), which makes the output reproducible
-bit-for-bit across scheduling policies and logically equivalent rule
-sets.
+number reported is derived canonically from a leaf's rows and draws
+(products over the draw ledger in canonical order, order-invariant float
+sums, ties broken by sorted row keys), which makes the output
+reproducible bit-for-bit across scheduling policies and logically
+equivalent rule sets.
+
+The loop keeps each leaf as its chase state's rows (relation -> frozenset
+of rows) with its masses. ``Fact`` objects and the sorted entries are built
+only when a caller asks for an ``OutcomeDistribution``.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 from .chase import BRANCH, BUDGET_EXHAUSTED, LEAF, ChaseEngine, Outcome
 from .distributions import DomainError
-from .model import Fact, GdlogError, Program, fact_key
+from .model import Fact, GdlogError, Program, constant_key
 from .translate import to_existential
 
 __all__ = [
@@ -79,13 +84,17 @@ def enumerate_outcomes(
     paths still open when the budget ran out; explored and residual mass
     always total one up to float rounding.
     """
-    return _explore(g, input_facts, policy)[0]
+    leaves, explored, residual, _ = _explore(g, input_facts, policy)
+    return _distribution(leaves, explored, residual)
 
 
 def _explore(g: Program, input_facts, policy, observe=None) -> tuple:
-    """The enumeration loop; returns (distribution, leaves dropped). A leaf
-    whose chase state fails the test ``observe(engine)`` returns is dropped
-    as soon as it is reached, before its facts are built."""
+    """The enumeration loop; returns (leaves, explored mass, residual mass,
+    leaves dropped). Each leaf is (rows, probability, log probability),
+    where rows maps each relation of the leaf's chase state to a frozenset
+    of its rows. A leaf whose chase state fails the test ``observe(engine)``
+    returns is dropped as soon as it is reached, before its masses are
+    computed."""
     if policy is None:
         policy = EnumerationPolicy()
     engine = ChaseEngine(
@@ -94,7 +103,8 @@ def _explore(g: Program, input_facts, policy, observe=None) -> tuple:
     keep = observe(engine) if observe is not None else None
     root = engine.initial_state(input_facts)
     dropped = 0
-    leaves: dict = {}  # frozenset of facts -> (Outcome, probability)
+    leaves: list = []  # of (rows, probability, log probability)
+    seen: set = set()  # each leaf's rows as one frozenset
     residual_parts: list = []
     steps = 0
     counter = 0
@@ -122,12 +132,14 @@ def _explore(g: Program, input_facts, policy, observe=None) -> tuple:
             if keep is not None and not keep(state):
                 dropped += 1
                 continue
-            facts = state.instance()
-            assert facts not in leaves, "chase tree produced a duplicate leaf"
-            prob = engine.canonical_mass(state)
-            leaves[facts] = (
-                Outcome(facts, engine.canonical_log_mass(state), LEAF),
-                prob,
+            # frozen rows serve as the leaf and as its duplicate check, and
+            # let the state's own sets go
+            rows = {r: frozenset(v) for r, v in state.facts.items() if v}
+            frozen = frozenset(rows.items())
+            assert frozen not in seen, "chase tree produced a duplicate leaf"
+            seen.add(frozen)
+            leaves.append(
+                (rows, engine.canonical_mass(state), engine.canonical_log_mass(state))
             )
             continue
         if stop is BUDGET_EXHAUSTED:
@@ -155,20 +167,38 @@ def _explore(g: Program, input_facts, policy, observe=None) -> tuple:
             counter += 1
             heapq.heappush(heap, (-engine.canonical_mass(child), counter, child))
 
-    explored = math.fsum(p for _, p in leaves.values())
-    residual = math.fsum(residual_parts)
-    # by descending probability, ties broken by sorted facts; leaves never
-    # share a fact set, so only ties need the fact keys
+    explored = math.fsum(p for _, p, _ in leaves)
+    return leaves, explored, math.fsum(residual_parts), dropped
+
+
+def _row_keys(rows: dict) -> list:
+    """The sorted ``fact_key`` values of a leaf's facts, read from its rows."""
+    return sorted(
+        (rel, tuple(constant_key(v) for v in row))
+        for rel, rel_rows in rows.items()
+        for row in rel_rows
+    )
+
+
+def _distribution(leaves, explored, residual, norm=1.0) -> OutcomeDistribution:
+    """The leaves of ``_explore`` as outcomes, each probability divided by
+    ``norm``. They go by descending probability before the division, which
+    can round distinct masses to one value; ties are broken by sorted
+    facts, and since leaves never share a fact set only ties need keys."""
     by_mass: dict = {}
-    for op in leaves.values():
-        by_mass.setdefault(op[1], []).append(op)
+    for leaf in leaves:
+        by_mass.setdefault(leaf[1], []).append(leaf)
     entries = []
     for p in sorted(by_mass, reverse=True):
         tied = by_mass[p]
         if len(tied) > 1:
-            tied.sort(key=lambda op: sorted(map(fact_key, op[0].facts)))
-        entries.extend(tied)
-    return OutcomeDistribution(tuple(entries), explored, residual), dropped
+            tied.sort(key=lambda leaf: _row_keys(leaf[0]))
+        for rows, _, log_p in tied:
+            facts = frozenset(
+                Fact(rel, row) for rel, rel_rows in rows.items() for row in rel_rows
+            )
+            entries.append((Outcome(facts, log_p, LEAF), p / norm))
+    return OutcomeDistribution(tuple(entries), explored, residual)
 
 
 def cylinder_mass(g: Program, input_facts, derivation_set):

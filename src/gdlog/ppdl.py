@@ -4,6 +4,10 @@ A program's constraints act as observations, checked on chase states in
 place: the posterior is the prior conditioned on every constraint holding.
 Exact conditioning drops each failing enumerated leaf as it is reached and
 renormalizes; the Monte Carlo path rejection-samples seeded chase runs.
+
+Exact conditioning works on the enumeration's leaf rows and masses. Only
+``exact_posterior`` turns the retained leaves into ``Fact`` outcomes; the
+exact query bounds read membership straight from the rows.
 """
 from __future__ import annotations
 
@@ -20,7 +24,12 @@ from .chase import (
     run_join,
 )
 from .distributions import RngStream
-from .enumeration import EnumerationPolicy, OutcomeDistribution, _explore
+from .enumeration import (
+    EnumerationPolicy,
+    OutcomeDistribution,
+    _distribution,
+    _explore,
+)
 from .model import DeltaTerm, Fact, GdlogError, Program, constant_key
 from .parser import render_fact
 from .translate import to_existential
@@ -140,6 +149,28 @@ def check_constraints(outcome_facts, constraints) -> ConstraintReport:
     return ConstraintReport(not violations, tuple(violations))
 
 
+def _condition(p: Program, input_facts, policy) -> tuple:
+    """The conditioning ``exact_posterior`` describes, on the leaves of
+    ``_explore``: returns (kept leaves with their prior masses, explored
+    mass, residual mass, the mass that divides the leaves' masses)."""
+    leaves, explored, residual, dropped = _explore(
+        p, input_facts, policy, lambda e: _observations(p, e)
+    )
+    if explored <= LEGALITY_THRESHOLD:
+        if residual < LEGALITY_THRESHOLD:
+            raise IllegalInput(
+                "no possible outcome satisfies the constraints: "
+                "the condition set has measure zero"
+            )
+        raise UndeterminedLegality(
+            "no explored outcome satisfies the constraints, but "
+            f"{residual:.6g} mass is unexplored: legality undetermined"
+        )
+    if not dropped:
+        return leaves, explored, residual, 1.0
+    return leaves, math.fsum(prob / explored for _, prob, _ in leaves), 0.0, explored
+
+
 def exact_posterior(
     p: Program, input_facts, policy: EnumerationPolicy | None = None
 ) -> OutcomeDistribution:
@@ -153,22 +184,20 @@ def exact_posterior(
     explored; with positive residual the result is conditioned on the
     explored region and the prior residual is not redistributed.
     """
-    kept, dropped = _explore(p, input_facts, policy, lambda e: _observations(p, e))
-    if kept.explored_mass <= LEGALITY_THRESHOLD:
-        if kept.residual_mass < LEGALITY_THRESHOLD:
-            raise IllegalInput(
-                "no possible outcome satisfies the constraints: "
-                "the condition set has measure zero"
-            )
-        raise UndeterminedLegality(
-            "no explored outcome satisfies the constraints, but "
-            f"{kept.residual_mass:.6g} mass is unexplored: legality undetermined"
-        )
-    if not dropped:
-        return kept
-    entries = tuple((o, prob / kept.explored_mass) for o, prob in kept.entries)
-    explored = math.fsum(prob for _, prob in entries)
-    return OutcomeDistribution(entries, explored, 0.0)
+    return _distribution(*_condition(p, input_facts, policy))
+
+
+def _exact_bounds(p: Program, input_facts, query: Fact, policy) -> tuple:
+    """(point, point_upper, explored mass, residual mass) of ``query`` under
+    the exact posterior: ``marginal_bounds(exact_posterior(...))`` and the
+    posterior's masses, read from the leaf rows without building facts.
+    ``math.fsum`` is correctly rounded, so leaf order does not matter."""
+    leaves, explored, residual, norm = _condition(p, input_facts, policy)
+    rel, row = query.relation, query.args
+    point = math.fsum(
+        prob / norm for rows, prob, _ in leaves if row in rows.get(rel, ())
+    )
+    return point, min(1.0, point + residual), explored, residual
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +129,34 @@ def test_infer_exact(capsys):
     payload = json.loads(out)
     assert payload["mode"] == "exact"
     assert 0.15 < payload["point"] < 0.25
+
+
+def test_infer_exact_builds_no_facts(capsys, monkeypatch):
+    """Exact inference reads masses and query membership from the leaf
+    chase states: it never turns a state into ``Fact`` objects, and never
+    builds or sorts the entries of an ``OutcomeDistribution`` (which is
+    where enumeration makes facts and their tie-break keys)."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("exact inference built facts")
+
+    monkeypatch.setattr("gdlog.chase.ChaseState.instance", forbidden)
+    monkeypatch.setattr("gdlog.enumeration._distribution", forbidden)
+    monkeypatch.setattr("gdlog.ppdl._distribution", forbidden)
+    code, out, _ = run(
+        capsys,
+        "infer",
+        CORPUS / "burglar_ppdl.gdl",
+        "--edb",
+        CORPUS / "burglar_report.facts",
+        "--query",
+        'Earthquake("Napa", 1)',
+        "--mode",
+        "exact",
+    )
+    assert code == 0
+    golden = Path(__file__).resolve().parent / "golden" / "infer_exact_burglar_ppdl.out"
+    assert out == golden.read_text()
 
 
 def test_infer_mc(capsys):

@@ -10,7 +10,8 @@ read from a state's draw ledger must equal, bit for bit, the old ones
 recomputed from its drawn facts. With random constraints added,
 ``exact_posterior``, which checks each leaf's chase state in place, must
 return the same posterior or raise the same error as the old
-conditioning of the enumerated prior's fact sets.
+conditioning of the enumerated prior's fact sets, and the exact-infer
+helper, which reads a query from the leaf rows, the same marginal bounds.
 """
 from __future__ import annotations
 
@@ -27,9 +28,14 @@ from gdlog.chase import (
     replay_weight,
 )
 from gdlog.distributions import RngStream
-from gdlog.enumeration import EnumerationPolicy, cylinder_mass, enumerate_outcomes
+from gdlog.enumeration import (
+    EnumerationPolicy,
+    cylinder_mass,
+    enumerate_outcomes,
+    marginal_bounds,
+)
 from gdlog.model import Fact, GdlogError, fact_key, validate_program
-from gdlog.ppdl import exact_posterior
+from gdlog.ppdl import _exact_bounds, exact_posterior
 from gdlog.translate import to_existential
 
 from old_drivers import (
@@ -176,17 +182,21 @@ def _posterior(condition, program, facts, policy):
     return dist.entries, dist.explored_mass, dist.residual_mass
 
 
+def _constrained(rnd: random.Random, program):
+    """``program`` with one or two random constraints."""
+    while True:  # a valid program: declared relations, no draw terms
+        constraints = [_random_constraint(rnd) for _ in range(rnd.randint(1, 2))]
+        constrained = dataclasses.replace(program, constraints=constraints)
+        if validate_program(constrained).ok:
+            return constrained
+
+
 def test_exact_posterior_matches_old_conditioning(registry):
     rnd = random.Random(4242)
     kinds = Counter()
     for seed in SEEDS:
         program, facts = random_program(random.Random(seed), registry)
-        while True:  # a valid program: declared relations, no draw terms
-            constraints = [_random_constraint(rnd) for _ in range(rnd.randint(1, 2))]
-            constrained = dataclasses.replace(program, constraints=constraints)
-            if validate_program(constrained).ok:
-                program = constrained
-                break
+        program = _constrained(rnd, program)
         for budget in (1, 6, 40, 200):
             order = ("fifo", "reversed-rules", "random")[seed % 3]
             policy = EnumerationPolicy(node_budget=budget, order=order, order_seed=seed)
@@ -200,3 +210,56 @@ def test_exact_posterior_matches_old_conditioning(registry):
     # not vacuous: every result occurs, with and without dropped leaves
     assert set(kinds) == {"IllegalInput", "UndeterminedLegality", "unchanged", "renormalized"}
     assert min(kinds.values()) > 20, kinds
+
+
+def _query(rnd: random.Random, facts: frozenset, outcome: frozenset) -> Fact:
+    """Mostly a derived fact of a sampled outcome, which many leaves hold;
+    otherwise an input fact or one with a value replaced, which may be in
+    no leaf."""
+    derived = sorted(outcome - facts, key=fact_key)
+    if derived and rnd.random() < 0.6:
+        return rnd.choice(derived)
+    f = rnd.choice(sorted(outcome, key=fact_key))
+    if rnd.random() < 0.5:
+        return f
+    args = list(f.args)
+    args[rnd.randrange(len(args))] = rnd.choice(_VALUES)
+    return Fact(f.relation, tuple(args))
+
+
+def test_exact_bounds_match_old_marginal_bounds(registry):
+    """The exact-infer helper, which reads query membership and masses from
+    the leaf rows, gives the same point, upper bound and masses (with
+    ``==``), or the same error, as the marginal bounds of the old
+    conditioning of the enumerated prior's fact sets."""
+    rnd = random.Random(4343)
+    kinds = Counter()
+    points = Counter()
+    for seed in SEEDS:
+        program, facts = random_program(random.Random(seed), registry)
+        program = _constrained(rnd, program)
+        engine = ChaseEngine(to_existential(program))
+        outcome = engine.sample(facts, RngStream(seed, 0), STEPS).facts
+        for budget in (1, 6, 40, 200):
+            query = _query(rnd, facts, outcome)
+            order = ("fifo", "reversed-rules", "random")[seed % 3]
+            policy = EnumerationPolicy(node_budget=budget, order=order, order_seed=seed)
+            try:
+                got = _exact_bounds(program, facts, query, policy)
+            except GdlogError as e:
+                got = type(e), str(e)
+            try:
+                old = old_exact_posterior(program, facts, policy)
+            except GdlogError as e:
+                assert got == (type(e), str(e))
+                kinds[type(e).__name__] += 1
+                continue
+            lo, hi = marginal_bounds(old, query)
+            assert got == (lo, hi, old.explored_mass, old.residual_mass)
+            prior = enumerate_outcomes(program, facts, policy)
+            kinds["unchanged" if old.entries == prior.entries else "renormalized"] += 1
+            points["zero" if lo == 0.0 else "non-zero"] += 1
+    # not vacuous: every result occurs, and the query both misses and hits
+    assert set(kinds) == {"IllegalInput", "UndeterminedLegality", "unchanged", "renormalized"}
+    assert min(kinds.values()) > 20, kinds
+    assert min(points.values()) > 100, points

@@ -10,6 +10,7 @@ import pytest
 from gdlog.chase import Rejection, replay_weight
 from gdlog.enumeration import (
     EnumerationPolicy,
+    _distribution,
     cylinder_mass,
     enumerate_outcomes,
     marginal,
@@ -76,6 +77,17 @@ def test_ties_are_ordered_by_sorted_facts(burglar_dist):
     # symmetric units give many leaves of equal mass
     ties = Counter(p for _, p in entries)
     assert max(ties.values()) > 2
+
+
+def test_renormalised_entries_keep_the_prior_order():
+    # 0.45 and the next float both divide by 0.8 to 0.5625: the leaf with
+    # the larger prior mass stays first although its facts sort last
+    low, high = 0.45, math.nextafter(0.45, 1.0)
+    assert low / 0.8 == high / 0.8
+    leaves = [({"A": {(0.0,)}}, low, 0.0), ({"A": {(1.0,)}}, high, 0.0)]
+    dist = _distribution(leaves, 1.0, 0.0, 0.8)
+    assert [sorted(o.facts)[0].args for o, _ in dist.entries] == [(1.0,), (0.0,)]
+    assert [p for _, p in dist.entries] == [0.5625, 0.5625]
 
 
 def test_probabilities_sum_below_one(burglar_dist):
