@@ -59,6 +59,7 @@ from .model import (
     GdlogError,
     Program,
     Variable,
+    _sorted_canonical,
     constant_key,
     fact_key,
 )
@@ -376,6 +377,11 @@ def _binding_sort_key(slots) -> tuple:
     return tuple(constant_key(v) for v in slots)
 
 
+def _reversed_pend(item) -> tuple:
+    # a pending (rule index, slots) pair under reversed rule priority
+    return (-item[0], item[1])
+
+
 class ChaseEngine:
     """Compiled rules plus scheduling policy for one existential program.
 
@@ -463,7 +469,8 @@ class ChaseEngine:
 
     def _enqueue_batch(self, state: ChaseState, batch: list) -> None:
         if len(batch) > 1:
-            batch.sort(key=self._pend_key)
+            plain = _reversed_pend if self.order == REVERSED_RULES else None
+            batch = _sorted_canonical(batch, self._pend_key, plain)
         state.pending.extend(batch)
 
     def _seed_frontier(self, state: ChaseState) -> None:

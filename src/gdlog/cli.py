@@ -19,13 +19,15 @@ from .analysis import build_dependency_graph, is_weakly_acyclic, to_dot
 from .chase import ChaseEngine
 from .distributions import DomainError, Registry, RngStream
 from .enumeration import EnumerationPolicy, enumerate_outcomes
-from .model import GdlogError, fact_key, validate_program
+from .model import GdlogError, validate_program
 from .parser import (
+    _rows_by_relation,
     load_edb_csv,
     parse_fact_literal,
     parse_facts,
     parse_program,
     render_fact,
+    render_rows,
 )
 from .ppdl import IllegalInput, _exact_bounds, estimate_posterior
 from .translate import render_existential_program, to_existential
@@ -123,8 +125,8 @@ def _load_edb(args, program):
     return frozenset(facts)
 
 
-def _facts_json(facts) -> list:
-    return [render_fact(f) for f in sorted(facts, key=fact_key)]
+def _facts_json(rows_by_rel) -> list:
+    return render_rows(rows_by_rel)
 
 
 def _emit(payload: dict) -> None:
@@ -157,12 +159,14 @@ def _cmd_sample(args) -> int:
     program = _load_program(args)
     input_facts = _load_edb(args, program)
     engine = ChaseEngine(to_existential(program))
-    outcome = engine.sample(input_facts, RngStream(args.seed, 0), args.budget)
+    # the outcome is rendered from the chase rows: no Fact is built
+    state = engine.initial_state(input_facts)
+    terminated = engine.run(state, RngStream(args.seed, 0), args.budget)
     _emit(
         {
-            "facts": _facts_json(outcome.facts),
-            "log_probability": outcome.log_probability,
-            "terminated": outcome.terminated,
+            "facts": _facts_json(state.facts),
+            "log_probability": engine.canonical_log_mass(state),
+            "terminated": terminated,
         }
     )
     return EXIT_OK
@@ -180,7 +184,7 @@ def _cmd_enumerate(args) -> int:
     _emit(
         {
             "outcomes": [
-                {"facts": _facts_json(o.facts), "probability": p}
+                {"facts": _facts_json(_rows_by_relation(o.facts)), "probability": p}
                 for o, p in dist.entries
             ],
             "explored_mass": dist.explored_mass,

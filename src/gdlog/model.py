@@ -135,6 +135,21 @@ def fact_key(f: Fact):
     return (f.relation, tuple(constant_key(a) for a in f.args))
 
 
+def _sorted_canonical(items, key, plain_key=None) -> list:
+    """``items`` sorted by ``key``, a key built from ``constant_key``.
+
+    Plain comparison (of ``plain_key`` values, if given) is tried first.
+    Where it does not raise it gives the same order: numbers compare by
+    value and symbols by code point, and a number never equals a symbol.
+    It raises TypeError where it must order a number against a symbol,
+    and only then is ``key`` built for every item.
+    """
+    try:
+        return sorted(items, key=plain_key)
+    except TypeError:
+        return sorted(items, key=key)
+
+
 #: An instance is a finite set of facts (set semantics, no duplicates).
 Instance = frozenset
 

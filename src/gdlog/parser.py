@@ -31,6 +31,8 @@ from .model import (
     Program,
     Rule,
     Variable,
+    _sorted_canonical,
+    constant_key,
 )
 
 __all__ = [
@@ -43,6 +45,7 @@ __all__ = [
     "format_constant",
     "render_fact",
     "render_facts",
+    "render_rows",
     "render_atom",
     "render_rule",
     "render_constraint",
@@ -233,6 +236,13 @@ class _Parser:
             raise self.error(t, f"expected '{text}', found '{t.text or t.kind}'")
         return t
 
+    def constant(self, t: _Token):
+        """The value of a number or string token; infinities are errors."""
+        if t.kind == "number" and not math.isfinite(t.value):
+            # an infinity would print as inf, which no parser reads back
+            raise self.error(t, f"'{t.text}' is not a finite number")
+        return t.value
+
     def expect_ident(self, what: str = "identifier") -> _Token:
         t = self.next()
         if t.kind != "ident":
@@ -257,12 +267,9 @@ def _check_relation(p: _Parser, tok: _Token, name: str, arity: int, schema: dict
 
 def _parse_term(p: _Parser, dists):
     t = p.peek()
-    if t.kind == "number":
+    if t.kind in ("number", "string"):
         p.next()
-        return t.value
-    if t.kind == "string":
-        p.next()
-        return t.value
+        return p.constant(t)
     if t.kind == "ident":
         tok = p.expect_ident("term")
         nxt = p.peek()
@@ -299,7 +306,7 @@ def _parse_inner_term(p: _Parser):
     t = p.peek()
     if t.kind in ("number", "string"):
         p.next()
-        return t.value
+        return p.constant(t)
     if t.kind == "ident":
         tok = p.expect_ident("parameter")
         if tok.text[0].islower():
@@ -391,7 +398,7 @@ def _parse_one_fact(p: _Parser, schema: dict, what: str) -> Fact:
     while True:
         t = p.next()
         if t.kind in ("number", "string"):
-            args.append(t.value)
+            args.append(p.constant(t))
         else:
             raise p.error(t, f"expected a constant, found '{t.text or t.kind}'")
         t = p.next()
@@ -443,7 +450,8 @@ def load_edb_csv(relation: str, rows, edb_schema: dict) -> Instance:
     """Load header-less CSV rows as facts of ``relation``.
 
     ``rows`` is a text stream or a string. Numeric-looking cells parse
-    as numbers, everything else as symbols; a NaN cell is an error.
+    as numbers, everything else as symbols; a NaN or infinite cell is
+    an error.
     """
     if relation not in edb_schema:
         raise ParseError(
@@ -470,11 +478,13 @@ def load_edb_csv(relation: str, rows, edb_schema: dict) -> Instance:
             except ValueError:
                 args.append(cell)
                 continue
-            if math.isnan(value):
-                # NaN equals nothing, not even itself: no join could match it
+            if not math.isfinite(value):
+                # NaN equals nothing, not even itself: no join could match
+                # it; an infinity would print as inf, which nothing parses
+                what = "a number (NaN)" if math.isnan(value) else "a finite number"
                 raise ParseError(
                     SourceSpan(f"<csv:{relation}>", lineno, 1),
-                    f"row {lineno}: '{cell}' is not a number (NaN)",
+                    f"row {lineno}: '{cell}' is not {what}",
                 )
             args.append(value)
         facts.add(Fact(relation, tuple(args)))
@@ -542,7 +552,37 @@ def render_fact(f: Fact) -> str:
     return f"{f.relation}({inner})"
 
 
-def render_facts(instance) -> str:
-    from .model import fact_key
+def _row_key(row) -> tuple:
+    return tuple(map(constant_key, row))
 
-    return "".join(f"{render_fact(f)}.\n" for f in sorted(instance, key=fact_key))
+
+def render_rows(rows_by_rel) -> list:
+    """The facts of a set held as relation -> rows, each rendered as by
+    ``render_fact``, in ``fact_key`` order: by relation name, then row."""
+    out = []
+    # each constant's text, keyed by type as well: the int 10**17 equals
+    # the float 1e17, but they render differently
+    text: dict = {}
+    for rel in sorted(rows_by_rel):
+        head = rel + "("
+        for row in _sorted_canonical(rows_by_rel[rel], _row_key):
+            parts = []
+            for v in row:
+                key = (v.__class__, v)
+                t = text.get(key)
+                if t is None:
+                    t = text[key] = format_constant(v)
+                parts.append(t)
+            out.append(head + ", ".join(parts) + ")")
+    return out
+
+
+def _rows_by_relation(facts) -> dict:
+    rows: dict = {}
+    for f in facts:
+        rows.setdefault(f.relation, []).append(f.args)
+    return rows
+
+
+def render_facts(instance) -> str:
+    return "".join(f"{line}.\n" for line in render_rows(_rows_by_relation(instance)))

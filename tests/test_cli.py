@@ -229,6 +229,41 @@ def test_parse_error_exit_1(tmp_path, capsys):
     assert "undeclared relation" in err
 
 
+def _single_error(err: str, message: str) -> bool:
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
+def _sample_e(tmp_path, capsys, *edb, rule="R(x) :- E(x)."):
+    prog = tmp_path / "e.gdl"
+    prog.write_text(f"edb E/1.\nidb R/1.\n{rule}\n")
+    return run(capsys, "sample", prog, *edb, "--seed", "1")
+
+
+
+def test_non_finite_number_in_facts_exit_1(tmp_path, capsys):
+    facts = tmp_path / "e.facts"
+    facts.write_text("E(1).\nE(1e999).\n")
+    code, out, err = _sample_e(tmp_path, capsys, "--edb", facts)
+    assert code == 1 and out == ""
+    assert _single_error(err, "e.facts:2:3: '1e999' is not a finite number")
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "infinity", "1e999"])
+def test_non_finite_number_in_csv_exit_1(tmp_path, capsys, cell):
+    csv = tmp_path / "e.csv"
+    csv.write_text(f"1\n{cell}\n")
+    code, out, err = _sample_e(tmp_path, capsys, "--edb", f"E={csv}")
+    assert code == 1 and out == ""
+    assert _single_error(err, f"row 2: '{cell}' is not a finite number")
+
+
+def test_non_finite_number_in_program_exit_1(tmp_path, capsys):
+    code, out, err = _sample_e(tmp_path, capsys, rule="R(-1e999) :- E(x).")
+    assert code == 1 and out == ""
+    assert _single_error(err, "e.gdl:3:3: '-1e999' is not a finite number")
+
+
 def test_domain_error_exit_2(tmp_path, capsys):
     prog = tmp_path / "badparam.gdl"
     prog.write_text("edb S/2.\nidb R/2.\nR(x, Flip[p]) :- S(x, p).\n")
