@@ -59,8 +59,8 @@ from .model import (
     GdlogError,
     Program,
     Variable,
+    _row_key,
     _sorted_canonical,
-    constant_key,
     fact_key,
 )
 from .parser import render_fact
@@ -207,10 +207,10 @@ class ChaseState:
         if draws:
             if len(draws) == 1:
                 rel, key, p = draws[0]
-                insort(self.ledger, ((rel, _binding_sort_key(key)), p))
+                insort(self.ledger, ((rel, _row_key(key)), p))
             else:
                 self.ledger.extend(
-                    ((rel, _binding_sort_key(key)), p) for rel, key, p in draws
+                    ((rel, _row_key(key)), p) for rel, key, p in draws
                 )
                 self.ledger.sort()
             draws.clear()
@@ -311,7 +311,6 @@ def _join_step(state: ChaseState, plan: tuple, k: int, cur: list, results: list)
 class _CompiledRule:
     __slots__ = (
         "index",
-        "kind",
         "body",
         "plans",
         "nvars",
@@ -323,7 +322,6 @@ class _CompiledRule:
         "body_rows",
         "distrel",
         "spec",
-        "source",
     )
 
 
@@ -373,10 +371,6 @@ def _matcher(args, nvars: int):
     return eval(f"lambda r: {out}", ns)
 
 
-def _binding_sort_key(slots) -> tuple:
-    return tuple(constant_key(v) for v in slots)
-
-
 def _reversed_pend(item) -> tuple:
     # a pending (rule index, slots) pair under reversed rule priority
     return (-item[0], item[1])
@@ -417,8 +411,6 @@ class ChaseEngine:
     def _compile(self, idx: int, rule) -> _CompiledRule:
         c = _CompiledRule()
         c.index = idx
-        c.kind = rule.kind
-        c.source = rule
         slot_of: dict = {}
         c.body = tuple(
             (a.relation, _compile_atom_args(a.args, slot_of)) for a in rule.body
@@ -465,7 +457,7 @@ class ChaseEngine:
 
     def _pend_key(self, item) -> tuple:
         idx, slots = item
-        return (self._rule_order(idx), _binding_sort_key(slots))
+        return (self._rule_order(idx), _row_key(slots))
 
     def _enqueue_batch(self, state: ChaseState, batch: list) -> None:
         if len(batch) > 1:
@@ -610,7 +602,7 @@ class ChaseEngine:
             dr = self.distrel_by_name[name]
             spec = self.ghat.dists.get(dr.dist)
             ledger.extend(
-                ((name, _binding_sort_key(key)), spec.pmf(value, dr.params(key)))
+                ((name, _row_key(key)), spec.pmf(value, dr.params(key)))
                 for key, value in obls.items()
             )
         ledger.sort()
@@ -747,7 +739,7 @@ class ChaseEngine:
             for slots in self._extend(state, rule, [None] * rule.nvars, -1):
                 if not self.head_satisfied(state, rule, slots):
                     out.append((rule, slots))
-        out.sort(key=lambda rs: (rs[0].index, _binding_sort_key(rs[1])))
+        out.sort(key=lambda rs: (rs[0].index, _row_key(rs[1])))
         return out
 
     def to_firing(self, rule: _CompiledRule, slots) -> Firing:

@@ -18,10 +18,9 @@ from pathlib import Path
 from .analysis import build_dependency_graph, is_weakly_acyclic, to_dot
 from .chase import ChaseEngine
 from .distributions import DomainError, Registry, RngStream
-from .enumeration import EnumerationPolicy, enumerate_outcomes
+from .enumeration import EnumerationPolicy, _explore, _ordered
 from .model import GdlogError, validate_program
 from .parser import (
-    _rows_by_relation,
     load_edb_csv,
     parse_fact_literal,
     parse_facts,
@@ -100,7 +99,11 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 def _load_program(args):
     dists = Registry.with_demo_distributions()
     path = Path(args.program)
-    program = parse_program(path.read_text(), dists, str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise GdlogError(f"{path}: {e}") from e
+    program = parse_program(text, dists, str(path))
     report = validate_program(program)
     if not report.ok:
         raise GdlogError(f"{path}: invalid program: {report}")
@@ -114,13 +117,16 @@ def _load_program(args):
 def _load_edb(args, program):
     facts = set()
     for src in args.edb:
-        if "=" in src:
-            rel, _, csv_path = src.partition("=")
-            with open(csv_path, newline="") as fh:
-                facts |= load_edb_csv(rel, fh, program.edb)
-        else:
-            text = Path(src).read_text()
-            facts |= parse_facts(text, program.edb, src)
+        try:
+            if "=" in src:
+                rel, _, csv_path = src.partition("=")
+                with open(csv_path, newline="", encoding="utf-8") as fh:
+                    facts |= load_edb_csv(rel, fh, program.edb)
+            else:
+                text = Path(src).read_text(encoding="utf-8")
+                facts |= parse_facts(text, program.edb, src)
+        except UnicodeDecodeError as e:
+            raise GdlogError(f"{src}: {e}") from e
     _log(f"loaded {len(facts)} input facts")
     return frozenset(facts)
 
@@ -180,15 +186,15 @@ def _cmd_enumerate(args) -> int:
         node_budget=args.nodes,
         support_mass_target=args.support_mass,
     )
-    dist = enumerate_outcomes(program, input_facts, policy)
+    leaves, explored, residual, _ = _explore(program, input_facts, policy)
     _emit(
         {
             "outcomes": [
-                {"facts": _facts_json(_rows_by_relation(o.facts)), "probability": p}
-                for o, p in dist.entries
+                {"facts": _facts_json(rows), "probability": p}
+                for rows, p, _ in _ordered(leaves)
             ],
-            "explored_mass": dist.explored_mass,
-            "residual_mass": dist.residual_mass,
+            "explored_mass": explored,
+            "residual_mass": residual,
         }
     )
     return EXIT_OK

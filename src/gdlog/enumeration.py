@@ -10,8 +10,9 @@ reproducible bit-for-bit across scheduling policies and logically
 equivalent rule sets.
 
 The loop keeps each leaf as its chase state's rows (relation -> frozenset
-of rows) with its masses. ``Fact`` objects and the sorted entries are built
-only when a caller asks for an ``OutcomeDistribution``.
+of rows) with its masses, and ``_ordered`` puts the leaves in output order.
+The CLI renders each leaf's rows directly; only the library's
+``OutcomeDistribution`` builds ``Fact`` objects.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from .chase import BRANCH, BUDGET_EXHAUSTED, LEAF, ChaseEngine, Outcome
 from .distributions import DomainError
-from .model import Fact, GdlogError, Program, constant_key
+from .model import Fact, GdlogError, Program, _row_key, _sorted_canonical
 from .translate import to_existential
 
 __all__ = [
@@ -171,33 +172,36 @@ def _explore(g: Program, input_facts, policy, observe=None) -> tuple:
     return leaves, explored, math.fsum(residual_parts), dropped
 
 
-def _row_keys(rows: dict) -> list:
-    """The sorted ``fact_key`` values of a leaf's facts, read from its rows."""
-    return sorted(
-        (rel, tuple(constant_key(v) for v in row))
-        for rel, rel_rows in rows.items()
-        for row in rel_rows
-    )
+def _facts(rows) -> list:
+    """A leaf's facts, read from its rows, as (relation, row) pairs."""
+    return [(rel, row) for rel, rel_rows in rows.items() for row in rel_rows]
 
 
-def _distribution(leaves, explored, residual, norm=1.0) -> OutcomeDistribution:
-    """The leaves of ``_explore`` as outcomes, each probability divided by
-    ``norm``. They go by descending probability before the division, which
-    can round distinct masses to one value; ties are broken by sorted
-    facts, and since leaves never share a fact set only ties need keys."""
+def _ordered(leaves):
+    """Yield the leaves of ``_explore`` by descending probability, ties by
+    sorted facts (leaves never share a fact set, so only ties need keys)."""
     by_mass: dict = {}
     for leaf in leaves:
         by_mass.setdefault(leaf[1], []).append(leaf)
-    entries = []
     for p in sorted(by_mass, reverse=True):
         tied = by_mass[p]
         if len(tied) > 1:
-            tied.sort(key=lambda leaf: _row_keys(leaf[0]))
-        for rows, _, log_p in tied:
-            facts = frozenset(
-                Fact(rel, row) for rel, rel_rows in rows.items() for row in rel_rows
+            tied = _sorted_canonical(
+                tied,
+                lambda leaf: sorted((r, _row_key(row)) for r, row in _facts(leaf[0])),
+                lambda leaf: sorted(_facts(leaf[0])),
             )
-            entries.append((Outcome(facts, log_p, LEAF), p / norm))
+        yield from tied
+
+
+def _distribution(leaves, explored, residual, norm=1.0) -> OutcomeDistribution:
+    """The leaves of ``_explore`` as outcomes in ``_ordered`` order, each
+    probability divided by ``norm``. The order is taken before the
+    division, which can round distinct masses to one value."""
+    entries = []
+    for rows, p, log_p in _ordered(leaves):
+        facts = frozenset(Fact(rel, row) for rel, row in _facts(rows))
+        entries.append((Outcome(facts, log_p, LEAF), p / norm))
     return OutcomeDistribution(tuple(entries), explored, residual)
 
 

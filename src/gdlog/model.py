@@ -130,9 +130,14 @@ class Fact:
         return len(self.args)
 
 
+def _row_key(row) -> tuple:
+    """Canonical sort key for a row of constants (numbers before symbols)."""
+    return tuple(map(constant_key, row))
+
+
 def fact_key(f: Fact):
     """Canonical sort key for facts (used for stable output ordering)."""
-    return (f.relation, tuple(constant_key(a) for a in f.args))
+    return (f.relation, _row_key(f.args))
 
 
 def _sorted_canonical(items, key, plain_key=None) -> list:

@@ -31,8 +31,8 @@ from .model import (
     Program,
     Rule,
     Variable,
+    _row_key,
     _sorted_canonical,
-    constant_key,
 )
 
 __all__ = [
@@ -552,10 +552,6 @@ def render_fact(f: Fact) -> str:
     return f"{f.relation}({inner})"
 
 
-def _row_key(row) -> tuple:
-    return tuple(map(constant_key, row))
-
-
 def render_rows(rows_by_rel) -> list:
     """The facts of a set held as relation -> rows, each rendered as by
     ``render_fact``, in ``fact_key`` order: by relation name, then row."""
@@ -577,12 +573,8 @@ def render_rows(rows_by_rel) -> list:
     return out
 
 
-def _rows_by_relation(facts) -> dict:
-    rows: dict = {}
-    for f in facts:
-        rows.setdefault(f.relation, []).append(f.args)
-    return rows
-
-
 def render_facts(instance) -> str:
-    return "".join(f"{line}.\n" for line in render_rows(_rows_by_relation(instance)))
+    rows: dict = {}
+    for f in instance:
+        rows.setdefault(f.relation, []).append(f.args)
+    return "".join(f"{line}.\n" for line in render_rows(rows))

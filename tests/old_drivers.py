@@ -10,8 +10,11 @@ drawn facts and re-weigh each through the public pmf instead of reading
 the state's draw ledger. ``old_exact_posterior`` conditions an
 enumerated prior as it did before leaves were checked in place: every
 outcome's facts are regrouped by (relation, arity) and checked there.
-The property tests check that the engine returns the same masses,
-rejection reasons, enumerated distributions and posteriors. Heads and
+``old_ordered`` is the leaf order enumeration had before tied leaves
+were first compared by their plain rows: each tie sorted by the
+``fact_key`` values of its facts. The property tests check that the
+engine returns the same masses, rejection reasons, enumerated
+distributions, posteriors and leaf orders. Heads and
 functional-dependency keys are grounded by ``ground``, term by term, as
 the engine did before it compiled a ``head_key`` per rule.
 """
@@ -268,6 +271,30 @@ def old_enumerate_outcomes(g, input_facts, policy: EnumerationPolicy | None = No
         key=lambda op: (-op[1], tuple(sorted(fact_key(f) for f in op[0].facts))),
     )
     return OutcomeDistribution(tuple(entries), explored, residual)
+
+
+def old_row_keys(rows: dict) -> list:
+    """The sorted ``fact_key`` values of a leaf's facts, read from its rows."""
+    return sorted(
+        (rel, tuple(constant_key(v) for v in row))
+        for rel, rel_rows in rows.items()
+        for row in rel_rows
+    )
+
+
+def old_ordered(leaves) -> list:
+    """The leaves of ``_explore`` by descending probability, ties sorted by
+    ``old_row_keys``."""
+    by_mass: dict = {}
+    for leaf in leaves:
+        by_mass.setdefault(leaf[1], []).append(leaf)
+    out = []
+    for p in sorted(by_mass, reverse=True):
+        tied = by_mass[p]
+        if len(tied) > 1:
+            tied.sort(key=lambda leaf: old_row_keys(leaf[0]))
+        out.extend(tied)
+    return out
 
 
 def _source(facts) -> ChaseState:

@@ -264,6 +264,34 @@ def test_non_finite_number_in_program_exit_1(tmp_path, capsys):
     assert _single_error(err, "e.gdl:3:3: '-1e999' is not a finite number")
 
 
+# one "error:" line, so no traceback, naming the file
+_NOT_UTF8 = "{}: 'utf-8' codec can't decode byte 0xff"
+
+
+def test_non_utf8_program_exit_1(tmp_path, capsys):
+    prog = tmp_path / "e.gdl"
+    prog.write_bytes(b'edb E/1.\nidb R/1.\nR(x) :- E(x).\n// \xff\n')
+    code, out, err = run(capsys, "sample", prog, "--seed", "1")
+    assert code == 1 and out == ""
+    assert _single_error(err, _NOT_UTF8.format("e.gdl"))
+
+
+def test_non_utf8_facts_exit_1(tmp_path, capsys):
+    facts = tmp_path / "e.facts"
+    facts.write_bytes(b'E("\xff").\n')
+    code, out, err = _sample_e(tmp_path, capsys, "--edb", facts)
+    assert code == 1 and out == ""
+    assert _single_error(err, _NOT_UTF8.format("e.facts"))
+
+
+def test_non_utf8_csv_exit_1(tmp_path, capsys):
+    csv = tmp_path / "e.csv"
+    csv.write_bytes(b"1\n\xff\n")
+    code, out, err = _sample_e(tmp_path, capsys, "--edb", f"E={csv}")
+    assert code == 1 and out == ""
+    assert _single_error(err, _NOT_UTF8.format("e.csv"))
+
+
 def test_domain_error_exit_2(tmp_path, capsys):
     prog = tmp_path / "badparam.gdl"
     prog.write_text("edb S/2.\nidb R/2.\nR(x, Flip[p]) :- S(x, p).\n")

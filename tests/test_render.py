@@ -1,17 +1,24 @@
 """Rendering fact sets straight from chase rows, and sorting without keys.
 
-``render_rows`` renders a relation -> rows mapping in ``fact_key`` order
-and ``_enqueue_batch`` sorts pending bindings in ``_pend_key`` order;
-both try plain tuple comparison before building ``constant_key`` tuples.
-``old_facts_json``, the renderer the command line had before, is the
-oracle: on random programs' final states, on every corpus sample and on
-a hand-built instance that forces the keyed fallback, the output must be
-equal with ``==``. The batch test records every batch as the engine
-enqueued it and checks it against a keyed sort of the same batch.
+``render_rows`` renders a relation -> rows mapping in ``fact_key`` order,
+``_enqueue_batch`` sorts pending bindings in ``_pend_key`` order and
+``_ordered`` breaks ties between enumerated leaves by their sorted facts;
+all three try plain tuple comparison before building ``constant_key``
+tuples. ``old_facts_json``, the renderer the command line had before, is
+the oracle: on random programs' final states, on every corpus sample and
+on a hand-built instance that forces the keyed fallback, the output must
+be equal with ``==``. The batch test records every batch as the engine
+enqueued it and checks it against a keyed sort of the same batch. The
+leaf order must equal ``old_ordered``, and ``enumerate``, which renders
+leaf rows, must print the bytes that rendering the sorted facts of
+``enumerate_outcomes`` gives.
 """
 from __future__ import annotations
 
+import gzip
+import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,11 +26,19 @@ import pytest
 from gdlog.chase import FIFO, RANDOM_FAIR, REVERSED_RULES, ChaseEngine, ChaseState
 from gdlog.cli import main
 from gdlog.distributions import RngStream
-from gdlog.model import Fact, fact_key
-from gdlog.parser import parse_facts, render_fact, render_facts, render_rows
+from gdlog.enumeration import EnumerationPolicy, _explore, _ordered, enumerate_outcomes
+from gdlog.model import Fact, _sorted_canonical, fact_key
+from gdlog.parser import (
+    parse_facts,
+    render_fact,
+    render_facts,
+    render_program,
+    render_rows,
+)
 from gdlog.translate import to_existential
 
 from conftest import CORPUS, load_facts, load_program
+from old_drivers import old_ordered
 from randprog import random_program
 from test_golden import CORPUS_PAIRS
 
@@ -148,3 +163,91 @@ def test_sample_builds_no_facts(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / "sample_burglar.out").read_text()
+
+
+def test_enumerate_builds_no_facts(capsys, monkeypatch):
+    """``enumerate`` renders each leaf's chase rows: it never turns a state
+    into ``Fact`` objects, wraps the leaves as an ``OutcomeDistribution``
+    or builds fact sort keys."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumerate built facts")
+
+    monkeypatch.setattr("gdlog.chase.ChaseState.instance", forbidden)
+    monkeypatch.setattr("gdlog.enumeration._distribution", forbidden)
+    monkeypatch.setattr("gdlog.model.fact_key", forbidden)
+    code = main(
+        [
+            "enumerate",
+            str(CORPUS / "burglar.gdl"),
+            "--edb",
+            str(CORPUS / "burglar.facts"),
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    golden = gzip.decompress((GOLDEN / "enumerate_burglar.out.gz").read_bytes())
+    same = out == golden.decode()  # no diff of megabytes on failure
+    assert same
+
+
+@pytest.mark.parametrize("order", [FIFO, REVERSED_RULES, RANDOM_FAIR])
+def test_leaf_order_matches_old_tie_break(registry, monkeypatch, order):
+    sorts = Counter()
+
+    def spy(items, key, plain_key=None):
+        keyed = []
+
+        def counted(item):
+            keyed.append(item)
+            return key(item)
+
+        out = _sorted_canonical(items, counted, plain_key)
+        sorts["keyed" if keyed else "plain"] += 1
+        return out
+
+    monkeypatch.setattr("gdlog.enumeration._sorted_canonical", spy)
+    for seed in SEEDS:
+        program, facts = random_program(random.Random(seed), registry)
+        for budget in (1, 6, 40, 200):
+            policy = EnumerationPolicy(node_budget=budget, order=order, order_seed=seed)
+            leaves = _explore(program, facts, policy)[0]
+            # compared without pytest's diff, which is slow on leaf lists
+            same = list(_ordered(leaves)) == old_ordered(leaves)
+            assert same, (seed, budget)
+    # random input facts often mix numbers and "s" in one column, so both
+    # the plain sort and the keyed fallback break many ties
+    assert sorts["keyed"] > 100 and sorts["plain"] > 50, sorts
+    # the corpus keeps numbers and symbols apart: its ties need no keys
+    sorts.clear()
+    program = load_program("burglar.gdl", registry)
+    policy = EnumerationPolicy(order=order, order_seed=1)
+    leaves = _explore(program, load_facts("burglar.facts", program), policy)[0]
+    same = list(_ordered(leaves)) == old_ordered(leaves)
+    assert same
+    assert sorts["plain"] > 10 and not sorts["keyed"], sorts
+
+
+def test_enumerate_cli_matches_old_rendering(registry, tmp_path, capsys):
+    outcomes = 0
+    for seed in SEEDS[::6]:
+        program, facts = random_program(random.Random(seed), registry)
+        prog = tmp_path / f"{seed}.gdl"
+        prog.write_text(render_program(program))
+        edb = tmp_path / f"{seed}.facts"
+        edb.write_text(render_facts(facts))
+        for budget in (1, 6, 40, 200):
+            argv = ["enumerate", str(prog), "--edb", str(edb), "--nodes", str(budget)]
+            assert main(argv) == 0
+            dist = enumerate_outcomes(program, facts, EnumerationPolicy(node_budget=budget))
+            old = {
+                "outcomes": [
+                    {"facts": old_facts_json(o.facts), "probability": p}
+                    for o, p in dist.entries
+                ],
+                "explored_mass": dist.explored_mass,
+                "residual_mass": dist.residual_mass,
+            }
+            assert capsys.readouterr().out == json.dumps(old, sort_keys=True) + "\n"
+            outcomes += len(dist.entries)
+    assert outcomes > 200  # the comparison is not vacuous
