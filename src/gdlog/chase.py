@@ -34,8 +34,9 @@ source text.
 ``choose(rule, slots)`` callback that sees every firing before it is
 applied and picks the value to draw, skips the firing, or stops the run
 there. Sampling draws from an rng; replay and cylinder masses force every
-choice from a target fact set (``forced_mass``); enumeration stops at
-each distributional firing and branches over its support.
+choice from a target fact set (``forced_mass``). ``run_to_branch`` stops
+before each distributional firing: enumeration branches there over the
+support, and Monte Carlo inference follows one drawn value per sample.
 
 Draw weights are accumulated in log space while a run is in flight. Each
 state also keeps a ledger of its draws' pmfs, taken when the draw fires
@@ -86,7 +87,7 @@ LEAF = "leaf"
 BUDGET_EXHAUSTED = "budget-exhausted"
 # returned by a ``choose`` callback; objects, so no drawn value equals them
 SKIP = object()  # drop this firing
-BRANCH = object()  # stop before this distributional firing
+BRANCH = object()  # stop before this firing and return it
 
 FIFO = "fifo"
 REVERSED_RULES = "reversed-rules"
@@ -371,6 +372,10 @@ def _matcher(args, nvars: int):
     return eval(f"lambda r: {out}", ns)
 
 
+def _branch_at(rule, slots):
+    return None if rule.distrel is None else BRANCH
+
+
 def _reversed_pend(item) -> tuple:
     # a pending (rule index, slots) pair under reversed rule priority
     return (-item[0], item[1])
@@ -542,6 +547,14 @@ class ChaseEngine:
         )
         return f"rule {rule.index} [{pairs}]"
 
+    def checked_params(self, rule: _CompiledRule, slots, key) -> tuple:
+        """A distributional firing's checked parameters; ``key`` is its head
+        key. A DomainError names the firing."""
+        try:
+            return rule.spec.check_params(rule.distrel.params(key))
+        except DomainError as e:
+            raise DomainError(f"{self._firing_context(rule, slots)}: {e}") from e
+
     def apply(
         self,
         state: ChaseState,
@@ -549,19 +562,22 @@ class ChaseEngine:
         slots,
         choice: float | None = None,
         rng: RngStream | None = None,
+        pmf: float | None = None,
     ) -> tuple:
         """Fire a rule instance, drawing ``choice`` or else from ``rng``;
-        returns the added (relation, row)."""
+        returns the added (relation, row). A ``pmf`` given with ``choice``
+        comes from ``draw`` or ``enumerate_support``, which checked the
+        parameters, and is taken as is."""
         rel = rule.head_rel
         row = key = rule.head_key(slots)
         if rule.distrel is not None:
             dr = rule.distrel
             spec = rule.spec
-            try:  # checked once here: draw and _pmf do not check again
-                params = spec.check_params(dr.params(key))
-            except DomainError as e:
-                raise DomainError(f"{self._firing_context(rule, slots)}: {e}") from e
-            if choice is not None:
+            # checked once here, unless the caller drew or enumerated ``choice``
+            params = None if pmf is not None else self.checked_params(rule, slots, key)
+            if pmf is not None:
+                value, weight = choice, pmf
+            elif choice is not None:
                 symbol = isinstance(choice, str)  # outside every numeric support
                 value = choice if symbol else float(choice)
                 weight = 0.0 if symbol else spec._pmf(value, params)
@@ -624,8 +640,9 @@ class ChaseEngine:
 
         ``choose(rule, slots)``, if given, sees each applicable firing within
         the budget and returns the value to draw (None for a deterministic
-        rule or an rng draw), ``SKIP`` to drop the firing, or a stop object
-        (a ``Rejection`` or ``BRANCH``), returned with the firing unapplied.
+        rule or an rng draw), ``SKIP`` to drop the firing, a ``Rejection``,
+        returned with the firing unapplied, or ``BRANCH``, which returns the
+        unapplied firing itself as (rule, slots).
         """
         if step_budget < 1:
             raise GdlogError("step_budget must be positive")
@@ -640,9 +657,16 @@ class ChaseEngine:
             if choice is not None:
                 if choice is SKIP:
                     continue
-                if choice is BRANCH or isinstance(choice, Rejection):
+                if choice is BRANCH:
+                    return nxt
+                if isinstance(choice, Rejection):
                     return choice
             self.apply(state, rule, slots, choice, rng)
+
+    def run_to_branch(self, state: ChaseState, step_budget: int):
+        """Chase without draws: LEAF, BUDGET_EXHAUSTED, or the distributional
+        firing the run stopped before, unapplied, as (rule, slots)."""
+        return self.run(state, None, step_budget, _branch_at)
 
     # -- outcome bookkeeping ----------------------------------------------
 

@@ -20,7 +20,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .chase import BRANCH, BUDGET_EXHAUSTED, LEAF, ChaseEngine, Outcome
+from .chase import BUDGET_EXHAUSTED, LEAF, ChaseEngine, Outcome
 from .distributions import DomainError
 from .model import Fact, GdlogError, Program, _row_key, _sorted_canonical
 from .translate import to_existential
@@ -110,15 +110,6 @@ def _explore(g: Program, input_facts, policy, observe=None) -> tuple:
     steps = 0
     counter = 0
     heap = [(-1.0, counter, root)]  # (-path mass, insertion order, state)
-    firing = None  # the distributional firing a path stopped at
-
-    def branch_at(rule, slots):
-        nonlocal firing
-        if rule.distrel is None:
-            return None
-        firing = rule, slots
-        return BRANCH
-
     while heap:
         neg_mass, _, state = heapq.heappop(heap)
         if steps >= policy.node_budget:
@@ -127,7 +118,7 @@ def _explore(g: Program, input_facts, policy, observe=None) -> tuple:
         # drive the deterministic prefix of this subtree; the budget counts
         # steps across the whole tree
         start = state.steps
-        stop = engine.run(state, None, start + policy.node_budget - steps, branch_at)
+        stop = engine.run_to_branch(state, start + policy.node_budget - steps)
         steps += state.steps - start
         if stop is LEAF:
             if keep is not None and not keep(state):
@@ -148,7 +139,7 @@ def _explore(g: Program, input_facts, policy, observe=None) -> tuple:
             continue
 
         # distributional firing: branch over the support
-        rule, slots = firing
+        rule, slots = stop
         key = rule.head_key(slots)
         target = 1.0 - policy.mass_epsilon
         if not rule.spec.finite_support:
@@ -161,9 +152,9 @@ def _explore(g: Program, input_facts, policy, observe=None) -> tuple:
         tail = 1.0 - math.fsum(p for _, p in support)
         if tail > 0.0:
             residual_parts.append(parent_mass * tail)
-        for value, _ in support:
+        for value, p in support:
             child = state.copy()
-            engine.apply(child, rule, slots, choice=value)
+            engine.apply(child, rule, slots, choice=value, pmf=p)
             steps += 1
             counter += 1
             heapq.heappush(heap, (-engine.canonical_mass(child), counter, child))

@@ -3,7 +3,8 @@
 A program's constraints act as observations, checked on chase states in
 place: the posterior is the prior conditioned on every constraint holding.
 Exact conditioning drops each failing enumerated leaf as it is reached and
-renormalizes; the Monte Carlo path rejection-samples seeded chase runs.
+renormalizes. The Monte Carlo path rejection-samples seeded runs that
+walk one shared chase tree, chasing and checking each cached leaf once.
 
 Exact conditioning works on the enumeration's leaf rows and masses. Only
 ``exact_posterior`` turns the retained leaves into ``Fact`` outcomes; the
@@ -12,6 +13,7 @@ exact query bounds read membership straight from the rows.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .chase import (
@@ -47,6 +49,11 @@ __all__ = [
 
 #: Retained mass at or below this is treated as measure zero, not float dust.
 LEGALITY_THRESHOLD = 1e-12
+
+#: Rows the chase-tree states cached by ``estimate_posterior`` hold at most,
+#: also where a path never ends (``corpus/doubling.gdl``).
+_CACHE_ROWS = 100_000
+_EXHAUSTED, _REJECTED, _ACCEPTED, _HIT = range(4)  # the classes of a leaf
 
 
 class IllegalInput(GdlogError):
@@ -232,6 +239,13 @@ def estimate_posterior(
     """Estimate P(query | constraints) from ``n`` independent seeded runs.
 
     Deterministic given ``seed``: run i draws from the (seed, i) stream.
+    The runs walk one shared chase tree: at each state stopped before a
+    distributional firing a run draws, and only the first run to draw a
+    value chases on to that child's next stop. A run's state depends only
+    on its draws, so the counts are those of chasing each run alone. The
+    cached states hold at most ``_CACHE_ROWS`` rows; a run whose next
+    stop would not fit finishes uncached.
+
     With zero accepted samples the estimate is flagged undefined (point
     and std_error are None); that is a sampling statement, distinct from
     the exact path's IllegalInput.
@@ -239,26 +253,67 @@ def estimate_posterior(
     if n < 1:
         raise GdlogError("sample count must be >= 1")
     engine = ChaseEngine(to_existential(p))
+    return _estimate(p, engine, input_facts, query, n, seed, step_budget)
+
+
+# a state stopped before a distributional firing, the firing with its checked
+# parameters, and the children (nodes or leaf classes) by drawn value
+_Node = namedtuple("_Node", "state rule slots params children")
+
+
+def _estimate(p, engine, input_facts, query, n, seed, step_budget) -> PosteriorEstimate:
+    """``estimate_posterior`` on ``engine``, in its scheduling order."""
     template = engine.initial_state(input_facts)
     observed = _observations(p, engine)
-    accepted = 0
-    exhausted = 0
-    hits = 0
-    for i in range(n):
-        state = template.copy()
-        status = engine.run(state, RngStream(seed, i), step_budget)
-        if status == BUDGET_EXHAUSTED:
-            exhausted += 1
-            continue
+    held = 0  # rows of the cached states
+
+    def chase(state: ChaseState, rng: RngStream) -> tuple:
+        """(the next stop of ``state``, a leaf class or a node, and whether
+        to cache it); a node past the cap draws and finishes uncached."""
+        nonlocal held
+        stop, cache = engine.run_to_branch(state, step_budget), True
+        if isinstance(stop, tuple):
+            rule, slots = stop
+            params = engine.checked_params(rule, slots, rule.head_key(slots))
+            rows = state.fact_count()
+            if held + rows <= _CACHE_ROWS:
+                held += rows
+                return _Node(state, rule, slots, params, {}), True
+            value, pmf = rule.spec.draw(params, rng)
+            engine.apply(state, rule, slots, value, pmf=pmf)
+            stop, cache = engine.run(state, rng, step_budget), False
+        if stop is BUDGET_EXHAUSTED:
+            return _EXHAUSTED, cache
         if not observed(state):
-            continue
-        accepted += 1
-        if query.args in state.facts.get(query.relation, ()):
-            hits += 1
+            return _REJECTED, cache
+        hit = query.args in state.facts.get(query.relation, ())
+        return (_HIT if hit else _ACCEPTED), cache
+
+    root = None
+    counts = [0] * 4  # by leaf class
+    for i in range(n):
+        rng = RngStream(seed, i)  # first: a bad seed fails before any chase
+        node = root
+        if node is None:
+            node, cache = chase(template.copy(), rng)
+            root = node if cache else None
+        while isinstance(node, _Node):
+            state, rule, slots, params, children = node
+            value, pmf = rule.spec.draw(params, rng)
+            node = children.get(value)
+            if node is None:
+                state = state.copy()
+                engine.apply(state, rule, slots, value, pmf=pmf)
+                node, cache = chase(state, rng)
+                if cache:
+                    children[value] = node
+        counts[node] += 1
+    accepted = counts[_ACCEPTED] + counts[_HIT]
     if accepted:
-        point = hits / accepted
+        point = counts[_HIT] / accepted
         std_error = math.sqrt(point * (1.0 - point) / accepted)
     else:
         point = None
         std_error = None
+    exhausted = counts[_EXHAUSTED]
     return PosteriorEstimate(query, point, std_error, n, accepted, exhausted, seed)

@@ -12,9 +12,10 @@ enumerated prior as it did before leaves were checked in place: every
 outcome's facts are regrouped by (relation, arity) and checked there.
 ``old_ordered`` is the leaf order enumeration had before tied leaves
 were first compared by their plain rows: each tie sorted by the
-``fact_key`` values of its facts. The property tests check that the
-engine returns the same masses, rejection reasons, enumerated
-distributions, posteriors and leaf orders. Heads and
+``fact_key`` values of its facts. ``old_estimate_posterior`` is the
+Monte Carlo loop before runs shared one chase tree. The property tests
+check that the engine returns the same masses, rejection reasons,
+enumerated distributions, posteriors, estimates and leaf orders. Heads and
 functional-dependency keys are grounded by ``ground``, term by term, as
 the engine did before it compiled a ``head_key`` per rule.
 """
@@ -23,16 +24,25 @@ from __future__ import annotations
 import heapq
 import math
 
-from gdlog.chase import LEAF, ChaseEngine, ChaseState, Outcome, Rejection
-from gdlog.distributions import DomainError
+from gdlog.chase import (
+    BUDGET_EXHAUSTED,
+    LEAF,
+    ChaseEngine,
+    ChaseState,
+    Outcome,
+    Rejection,
+)
+from gdlog.distributions import DomainError, RngStream
 from gdlog.enumeration import EnumerationPolicy, OutcomeDistribution
-from gdlog.model import Fact, constant_key, fact_key
+from gdlog.model import Fact, GdlogError, constant_key, fact_key
 from gdlog.parser import render_fact
 from gdlog.ppdl import (
     LEGALITY_THRESHOLD,
     IllegalInput,
+    PosteriorEstimate,
     UndeterminedLegality,
     _CompiledConstraint,
+    _observations,
     _satisfies_all,
 )
 from gdlog.translate import to_existential
@@ -329,3 +339,34 @@ def old_exact_posterior(p, input_facts, policy: EnumerationPolicy | None = None)
     entries = tuple((o, prob / retained_mass) for o, prob in retained)
     explored = math.fsum(prob for _, prob in entries)
     return OutcomeDistribution(entries, explored, 0.0)
+
+
+def old_estimate_posterior(p, engine, input_facts, query, n, seed, step_budget):
+    """The Monte Carlo loop before runs shared a chase tree: every run
+    copies the initial state and chases it to the end with its own
+    (seed, i) stream, and every leaf is checked again."""
+    if n < 1:
+        raise GdlogError("sample count must be >= 1")
+    template = engine.initial_state(input_facts)
+    observed = _observations(p, engine)
+    accepted = 0
+    exhausted = 0
+    hits = 0
+    for i in range(n):
+        state = template.copy()
+        status = engine.run(state, RngStream(seed, i), step_budget)
+        if status == BUDGET_EXHAUSTED:
+            exhausted += 1
+            continue
+        if not observed(state):
+            continue
+        accepted += 1
+        if query.args in state.facts.get(query.relation, ()):
+            hits += 1
+    if accepted:
+        point = hits / accepted
+        std_error = math.sqrt(point * (1.0 - point) / accepted)
+    else:
+        point = None
+        std_error = None
+    return PosteriorEstimate(query, point, std_error, n, accepted, exhausted, seed)

@@ -12,6 +12,9 @@ recomputed from its drawn facts. With random constraints added,
 return the same posterior or raise the same error as the old
 conditioning of the enumerated prior's fact sets, and the exact-infer
 helper, which reads a query from the leaf rows, the same marginal bounds.
+The Monte Carlo walk down a shared chase tree must give the same estimate
+as chasing every sample from the start, or raise the same error on the
+same sample.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ import json
 import random
 from collections import Counter
 
+from gdlog import ppdl
 from gdlog.chase import (
     ChaseEngine,
     Rejection,
@@ -27,15 +31,15 @@ from gdlog.chase import (
     chase_step,
     replay_weight,
 )
-from gdlog.distributions import RngStream
+from gdlog.distributions import DomainError, RngStream
 from gdlog.enumeration import (
     EnumerationPolicy,
     cylinder_mass,
     enumerate_outcomes,
     marginal_bounds,
 )
-from gdlog.model import Fact, GdlogError, fact_key, validate_program
-from gdlog.ppdl import _exact_bounds, exact_posterior
+from gdlog.model import DeltaTerm, Fact, GdlogError, Variable, fact_key, validate_program
+from gdlog.ppdl import _estimate, _exact_bounds, exact_posterior
 from gdlog.translate import to_existential
 
 from old_drivers import (
@@ -43,6 +47,7 @@ from old_drivers import (
     old_canonical_mass,
     old_cylinder_mass,
     old_enumerate_outcomes,
+    old_estimate_posterior,
     old_exact_posterior,
     old_replay_weight,
 )
@@ -263,3 +268,81 @@ def test_exact_bounds_match_old_marginal_bounds(registry):
     assert set(kinds) == {"IllegalInput", "UndeterminedLegality", "unchanged", "renormalized"}
     assert min(kinds.values()) > 20, kinds
     assert min(points.values()) > 100, points
+
+
+def _variable_parameter(rnd: random.Random, program):
+    """``program`` with one draw parameter replaced by a body variable, so
+    that some bindings draw with a parameter out of range or a symbol."""
+    drawn = [
+        i
+        for i, rule in enumerate(program.rules)
+        if any(True for _ in rule.head.delta_terms()) and any(rule.body_variables())
+    ]
+    if not drawn:
+        return program
+    i = rnd.choice(drawn)
+    rule = program.rules[i]
+    var = Variable(rnd.choice(sorted({v.name for v in rule.body_variables()})))
+    args = tuple(
+        DeltaTerm(t.dist, (var,)) if isinstance(t, DeltaTerm) else t
+        for t in rule.head.args
+    )
+    rules = list(program.rules)
+    rules[i] = dataclasses.replace(rule, head=dataclasses.replace(rule.head, args=args))
+    return dataclasses.replace(program, rules=rules)
+
+
+def test_estimate_matches_old_sampling_loop(registry, monkeypatch):
+    """On random programs, some constrained and some with a variable draw
+    parameter, in all three orders, under budgets that some runs exhaust
+    and with a cache cap that some runs pass: the walk's
+    ``PosteriorEstimate`` equals the old loop's, or both raise the same
+    error after building the same streams."""
+    built = []
+    init = RngStream.__init__
+
+    def recording_init(self, base_seed, stream_index=0):
+        built.append(stream_index)
+        init(self, base_seed, stream_index)
+
+    def run(fn, *args):
+        built.clear()
+        try:
+            return fn(*args)
+        except GdlogError as e:
+            return type(e), str(e), list(built)
+
+    rnd = random.Random(4545)
+    kinds = Counter()
+    default_cap = ppdl._CACHE_ROWS
+    for seed in SEEDS:
+        program, facts = random_program(random.Random(seed), registry)
+        if seed % 2:
+            program = _constrained(rnd, program)
+        if seed % 3 == 1:
+            program = _variable_parameter(rnd, program)
+        order = ("fifo", "reversed-rules", "random")[seed % 3]
+        engine = ChaseEngine(to_existential(program), order=order, order_seed=seed)
+        try:
+            outcome = engine.sample(facts, RngStream(seed, 0), STEPS).facts
+        except DomainError:
+            outcome = facts
+        query = _query(rnd, facts, outcome)
+        monkeypatch.setattr(RngStream, "__init__", recording_init)
+        for budget, cap in ((4, default_cap), (STEPS, default_cap), (STEPS, 12)):
+            monkeypatch.setattr(ppdl, "_CACHE_ROWS", cap)
+            args = (program, engine, facts, query, 25, seed, budget)
+            got = run(_estimate, *args)
+            assert got == run(old_estimate_posterior, *args)
+            if isinstance(got, tuple):
+                kinds[got[0].__name__] += 1
+                kinds["error after sample 0"] += got[2][-1] > 0
+                continue
+            kinds["exhausted" if got.samples_budget_exhausted else "finished"] += 1
+            kinds["defined" if got.defined else "undefined"] += 1
+        monkeypatch.undo()
+    # not vacuous: runs exhaust, estimates are and are not defined, and a
+    # bad parameter is an error, also on a later sample than the first
+    for kind in ("DomainError", "exhausted", "finished", "defined", "undefined"):
+        assert kinds[kind] > 10, kinds
+    assert kinds["error after sample 0"] > 2, kinds

@@ -4,9 +4,12 @@ import math
 
 import pytest
 
+from gdlog import ppdl
+from gdlog.chase import ChaseEngine
+from gdlog.distributions import DomainError
 from gdlog.enumeration import EnumerationPolicy, enumerate_outcomes, marginal
 from gdlog.model import Atom, Constraint, Fact, GdlogError, Variable
-from gdlog.parser import parse_program
+from gdlog.parser import parse_facts, parse_program
 from gdlog.ppdl import (
     IllegalInput,
     UndeterminedLegality,
@@ -14,8 +17,10 @@ from gdlog.ppdl import (
     estimate_posterior,
     exact_posterior,
 )
+from gdlog.translate import to_existential
 
 from conftest import load_facts, load_program
+from old_drivers import old_estimate_posterior
 from test_chase import _fact
 from test_enumeration import dist_as_json
 
@@ -213,3 +218,46 @@ def test_estimator_error_scaling(registry):
     big = estimate_posterior(constrained, rows, query, n=16000, seed=22)
     ratio = small.std_error / big.std_error
     assert 1.6 <= ratio <= 2.4
+
+
+@pytest.mark.parametrize("budget", [50, 2000])
+@pytest.mark.parametrize("cap", [0, 1, 300, ppdl._CACHE_ROWS])
+def test_estimate_cache_cap(registry, monkeypatch, budget, cap):
+    """``doubling`` has one infinite path: past the cap a run stops
+    caching and finishes on its own state, with the old loop's counts,
+    and the cached states never hold more rows than the cap."""
+    doubling = load_program("doubling.gdl", registry)
+    facts = parse_facts("R0(0, 1).", doubling.edb)
+    query = _fact("R", 1, 2)
+    old = old_estimate_posterior(
+        doubling, ChaseEngine(to_existential(doubling)), facts, query, 4, 3, budget
+    )
+    assert old.samples_budget_exhausted == 4
+    cached = []
+
+    class Node(ppdl._Node):  # every node built is cached
+        def __new__(cls, state, *args):
+            cached.append(state.fact_count())
+            return super().__new__(cls, state, *args)
+
+    monkeypatch.setattr(ppdl, "_CACHE_ROWS", cap)
+    monkeypatch.setattr(ppdl, "_Node", Node)
+    assert estimate_posterior(doubling, facts, query, 4, 3, budget) == old
+    assert sum(cached) <= cap
+    if cap >= 300:
+        assert len(cached) > 10  # the cap is not vacuous
+
+
+def test_negative_seed_fails_before_any_chase(registry):
+    """A negative seed is reported before the chase runs: also when no rule
+    draws, and ahead of a parameter the first run would find invalid."""
+    plain = parse_program("edb S/1.\nidb R/1.\nR(x) :- S(x).\n", registry)
+    facts = parse_facts("S(1).", plain.edb)
+    with pytest.raises(GdlogError, match="must be >= 0"):
+        estimate_posterior(plain, facts, _fact("R", 1), n=3, seed=-1)
+    bad = parse_program("edb S/1.\nidb R/2.\nR(x, Flip[x]) :- S(x).\n", registry)
+    facts = parse_facts("S(2).", bad.edb)
+    with pytest.raises(DomainError):
+        estimate_posterior(bad, facts, _fact("R", 2, 1), n=3, seed=0)
+    with pytest.raises(GdlogError, match="must be >= 0"):
+        estimate_posterior(bad, facts, _fact("R", 2, 1), n=3, seed=-1)
