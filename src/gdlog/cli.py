@@ -203,8 +203,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_infer(args) -> int:
     program = _load_program(args)
     input_facts = _load_edb(args, program)
-    ghat = to_existential(program)
-    query = parse_fact_literal(args.query, ghat.schema())
+    query = parse_fact_literal(args.query, {**program.edb, **program.idb})
     if args.mode == "mc":
         if args.seed is None:
             raise GdlogError("--seed is required with --mode mc")

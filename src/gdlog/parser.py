@@ -1,4 +1,4 @@
-"""Concrete syntax for programs (.gdl) and fact files.
+r"""Concrete syntax for programs (.gdl) and fact files.
 
 Grammar sketch::
 
@@ -10,15 +10,23 @@ Grammar sketch::
     term       := NUMBER | STRING | IDENT              -- lowercase start: variable
                 | IDENT "[" [term ("," term)*] "]" ;   -- distribution draw
 
-Comments run from ``//`` to end of line. Relations must be declared
-before use; arities are checked at parse time. Identifiers containing
-``__`` are reserved for generated relation names and rejected here.
+Tokens are the punctuation ``:- => ( ) [ ] , . /``; numbers
+``[+-]?\d+(\.\d+)?([eE][+-]?\d+)?`` in decimal digits; double-quoted
+strings on one line, with the escapes ``\n``, ``\t``, ``\"`` and ``\\``;
+and identifiers, a letter or ``_`` then letters, digits and ``_``.
+Spaces, tabs, carriage returns and comments from ``//`` to end of line
+separate tokens. A ``.`` not followed by a digit ends a statement, so
+``S(1).`` holds the number 1. Relations must be declared before use;
+arities are checked at parse time. Identifiers containing ``__`` are
+reserved for generated relation names and rejected here.
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
+import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .model import (
@@ -73,138 +81,65 @@ class ParseError(GdlogError):
 # ---------------------------------------------------------------------------
 # Lexer
 
-_PUNCT = {":-", "=>", "(", ")", "[", "]", ",", ".", "/"}
+# kind is "ident", "number", "string", "punct" or "eof"
+_Token = namedtuple("_Token", "kind text value line col")
+
+_STRING_BODY = r'(?:[^"\\\n]|\\[nt"\\])*'
+# the first alternative that matches wins; unnamed ones are skipped
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|//[^\n]*"
+    r"|(?P<punct>:-|=>|[()\[\],./])"
+    r"|(?P<number>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    rf'|"(?P<string>{_STRING_BODY})"'
+    r"|(?P<ident>\w+)"
+    r"|(?P<error>.)"
+)
+_STRING_PREFIX = re.compile(_STRING_BODY)
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident" | "number" | "string" | "punct" | "eof"
-    text: str
-    value: object
-    line: int
-    col: int
-
-
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+def _lex_error(text: str, i: int, span: SourceSpan) -> ParseError:
+    """The error at offset ``i`` (at ``span``), where no token matches."""
+    if text[i] != '"':
+        return ParseError(span, f"unexpected character {text[i]!r}")
+    j = _STRING_PREFIX.match(text, i + 1).end()
+    if j == len(text) or text[j] == "\n":
+        return ParseError(span, "unterminated string literal")
+    # text[j] is a backslash that starts no known escape
+    span = SourceSpan(span.file, span.line, span.col + j - i)
+    if j + 1 == len(text):
+        return ParseError(span, "dangling escape")
+    return ParseError(span, f"unknown escape '\\{text[j + 1]}'")
 
 
 def _lex(text: str, filename: str) -> list:
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def span() -> SourceSpan:
-        return SourceSpan(filename, line, col)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0  # line_start: offset of the line's first character
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith(":-", i) or text.startswith("=>", i):
-            tokens.append(_Token("punct", text[i : i + 2], None, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "()[],./":
-            tokens.append(_Token("punct", ch, None, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise ParseError(
-                        SourceSpan(filename, start_line, start_col),
-                        "unterminated string literal",
-                    )
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise ParseError(span(), "dangling escape")
-                    esc = text[i + 1]
-                    mapped = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc)
-                    if mapped is None:
-                        raise ParseError(span(), f"unknown escape '\\{esc}'")
-                    buf.append(mapped)
-                    i += 2
-                    col += 2
-                else:
-                    buf.append(c)
-                    i += 1
-                    col += 1
-            tokens.append(
-                _Token("string", "".join(buf), "".join(buf), start_line, start_col)
-            )
-            continue
-        if ch.isdigit() or (ch in "+-" and i + 1 < n and text[i + 1].isdigit()):
-            start_line, start_col = line, col
-            j = i
-            if text[j] in "+-":
-                j += 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                # a trailing period is the statement terminator, not a decimal
-                if j + 1 < n and text[j + 1].isdigit():
-                    j += 1
-                    while j < n and text[j].isdigit():
-                        j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            lit = text[i:j]
-            try:
-                value = float(lit)
-            except ValueError:
-                raise ParseError(
-                    SourceSpan(filename, start_line, start_col),
-                    f"malformed number '{lit}'",
-                ) from None
-            tokens.append(_Token("number", lit, value, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if _is_ident_start(ch):
-            start_col = col
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            name = text[i:j]
-            tokens.append(_Token("ident", name, name, line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(span(), f"unexpected character {ch!r}")
-    tokens.append(_Token("eof", "", None, line, col))
+        lexeme = m[kind]
+        col = m.start() - line_start + 1
+        if kind == "punct":
+            value = None
+        elif kind == "string":
+            if "\\" in lexeme:
+                lexeme = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], lexeme)
+            value = lexeme
+        elif kind == "number":
+            value = float(lexeme)
+        elif kind == "ident" and (lexeme[0].isalpha() or lexeme[0] == "_"):
+            value = lexeme
+        else:
+            raise _lex_error(text, m.start(), SourceSpan(filename, line, col))
+        tokens.append(_Token(kind, lexeme, value, line, col))
+    tokens.append(_Token("eof", "", None, line, len(text) - line_start + 1))
     return tokens
 
 

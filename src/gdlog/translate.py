@@ -126,7 +126,7 @@ def dist_relation_for(rule: Rule, dists) -> DistRelation | None:
     """The distributional relation a rule populates, or None if draw-free."""
     for i, t in enumerate(rule.head.args, start=1):
         if isinstance(t, DeltaTerm):
-            spec = dists.get(t.dist)
+            spec = dists.get(t.dist) if dists is not None else None
             if spec is None:
                 raise GdlogError(f"unknown distribution '{t.dist}'")
             return DistRelation(

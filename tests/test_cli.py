@@ -159,6 +159,33 @@ def test_infer_exact_builds_no_facts(capsys, monkeypatch):
     assert out == golden.read_text()
 
 
+@pytest.mark.parametrize("mode", [("exact",), ("mc", "--samples", 50, "--seed", 3)])
+def test_infer_translates_once(capsys, monkeypatch, mode):
+    import gdlog.translate
+
+    calls = []
+
+    def counted(program):
+        calls.append(program)
+        return gdlog.translate.to_existential(program)
+
+    for module in ("cli", "chase", "enumeration", "ppdl"):
+        monkeypatch.setattr(f"gdlog.{module}.to_existential", counted)
+    code, _, _ = run(
+        capsys,
+        "infer",
+        CORPUS / "burglar_ppdl.gdl",
+        "--edb",
+        CORPUS / "burglar_report.facts",
+        "--query",
+        'Earthquake("Napa", 1)',
+        "--mode",
+        *mode,
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_infer_mc(capsys):
     code, out, _ = run(
         capsys,

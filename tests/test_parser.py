@@ -74,6 +74,9 @@ def test_variable_param_draw(registry):
         ("edb S/1.\nidb R/1.\nR(x) :- S(x), .", "expected relation name"),
         ('edb S/1.\nidb R/1.\nR("ab) :- S(x).', "unterminated string"),
         ("edb S/1.\nidb R/1.\nR(x) :- S(x).\nxyzzy", "expected"),
+        ('edb S/1.\nidb R/1.\nR(x) :- S("a\\q").', r"unknown escape '\\q'"),
+        ('edb S/1.\nidb R/1.\nR(x) :- S("a\\', "dangling escape"),
+        ('edb S/1.\nidb R/1.\nR(x) :- S("ab\n").', "unterminated string"),
     ],
 )
 def test_parse_errors(registry, src, message):
@@ -87,6 +90,24 @@ def test_parse_error_span(registry):
     assert err.value.span.file == "prog.gdl"
     assert err.value.span.line == 3
     assert err.value.span.col == 9
+
+
+def test_parse_error_span_tab_and_crlf(registry):
+    with pytest.raises(ParseError) as err:
+        parse_program("edb S/1.\r\nidb R/1.\r\nR(x) :-\tQ(x).\r\n", registry)
+    assert (err.value.span.line, err.value.span.col) == (3, 9)
+
+
+def test_end_of_input_after_comment(registry):
+    # the column of the end of input counts the comment before it
+    with pytest.raises(ParseError) as err:
+        parse_program("edb S/1 // note", registry)
+    assert str(err.value) == "<string>:1:16: expected '.', found 'eof'"
+
+
+def test_string_escapes():
+    inst = parse_facts('S("a\\nb\\tc\\"d\\\\e").', {"S": 1})
+    assert inst == frozenset({Fact("S", ('a\nb\tc"d\\e',))})
 
 
 def test_comments_and_whitespace(registry):

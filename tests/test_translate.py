@@ -129,3 +129,23 @@ def test_invalid_program_rejected(registry):
     )
     with pytest.raises(GdlogError, match="invalid program"):
         to_existential(bad)
+
+
+def test_program_without_registry(burglar):
+    """A hand-built program with no registry validates, but its draws name
+    unknown distributions: translating it is an input error."""
+    from dataclasses import replace
+
+    from gdlog.analysis import is_weakly_acyclic
+    from gdlog.chase import sample_outcome
+    from gdlog.model import validate_program
+
+    bare = replace(burglar, dists=None)
+    assert validate_program(bare).ok
+    assert is_weakly_acyclic(bare)
+    with pytest.raises(GdlogError, match="unknown distribution 'Flip'"):
+        dist_relation_for(bare.rules[0], None)
+    with pytest.raises(GdlogError, match="unknown distribution 'Flip'"):
+        to_existential(bare)
+    with pytest.raises(GdlogError, match="unknown distribution 'Flip'"):
+        sample_outcome(bare, frozenset(), 1)
