@@ -16,7 +16,10 @@ strings on one line, with the escapes ``\n``, ``\t``, ``\"`` and ``\\``;
 and identifiers, a letter or ``_`` then letters, digits and ``_``.
 Spaces, tabs, carriage returns and comments from ``//`` to end of line
 separate tokens. A ``.`` not followed by a digit ends a statement, so
-``S(1).`` holds the number 1. Relations must be declared before use;
+``S(1).`` holds the number 1. A string is never punctuation: ``","`` is
+a constant, not a separator. Keywords are decided by one token of
+lookahead: ``edb``, ``idb`` or ``false`` followed by ``(`` names a
+relation. Relations must be declared before use;
 arities are checked at parse time. Identifiers containing ``__`` are
 reserved for generated relation names and rejected here.
 """
@@ -57,6 +60,7 @@ __all__ = [
     "render_atom",
     "render_rule",
     "render_constraint",
+    "render_declarations",
     "render_program",
 ]
 
@@ -165,14 +169,51 @@ class _Parser:
     def error(self, token: _Token, message: str) -> ParseError:
         return ParseError(SourceSpan(self.filename, token.line, token.col), message)
 
-    def expect_punct(self, text: str) -> _Token:
-        t = self.next()
-        if t.kind != "punct" or t.text != text:
-            raise self.error(t, f"expected '{text}', found '{t.text or t.kind}'")
+    def found(self, token: _Token, what: str) -> ParseError:
+        """The error for ``token`` where ``what`` was expected."""
+        if token.kind == "string":
+            shown = format_constant(token.text)  # with its quotes
+        else:
+            shown = token.text or token.kind
+        return self.error(token, f"expected {what}, found '{shown}'")
+
+    def accept(self, punct: str) -> bool:
+        """Consume the next token if it is the punctuation ``punct``."""
+        t = self.tokens[self.pos]
+        if t.kind == "punct" and t.text == punct:
+            self.pos += 1
+            return True
+        return False
+
+    def expect_punct(self, punct: str) -> None:
+        if not self.accept(punct):
+            raise self.found(self.peek(), f"'{punct}'")
+
+    def comma_list(self, item) -> list:
+        """``item ("," item)*``, each item read by calling ``item()``."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        return items
+
+    def keyword(self, *words: str) -> _Token | None:
+        """Consume the next token if it is one of the identifiers ``words``
+        used as a keyword: followed by ``(``, it names a relation."""
+        t = self.tokens[self.pos]
+        if t.kind != "ident" or t.text not in words:
+            return None
+        self.pos += 1
+        if self.accept("("):
+            self.pos -= 2
+            return None
         return t
 
-    def constant(self, t: _Token):
-        """The value of a number or string token; infinities are errors."""
+    def constant(self):
+        """The value of the next token, a number or a string; infinities
+        are errors."""
+        t = self.next()
+        if t.kind not in ("number", "string"):
+            raise self.found(t, "a constant")
         if t.kind == "number" and not math.isfinite(t.value):
             # an infinity would print as inf, which no parser reads back
             raise self.error(t, f"'{t.text}' is not a finite number")
@@ -181,7 +222,7 @@ class _Parser:
     def expect_ident(self, what: str = "identifier") -> _Token:
         t = self.next()
         if t.kind != "ident":
-            raise self.error(t, f"expected {what}, found '{t.text or t.kind}'")
+            raise self.found(t, what)
         if "__" in t.text:
             raise self.error(
                 t, f"'{t.text}': double underscore is reserved for generated names"
@@ -189,7 +230,8 @@ class _Parser:
         return t
 
 
-def _check_relation(p: _Parser, tok: _Token, name: str, arity: int, schema: dict):
+def _check_relation(p: _Parser, tok: _Token, arity: int, schema: dict):
+    name = tok.text
     if name not in schema:
         raise p.error(tok, f"undeclared relation '{name}'")
     if schema[name] != arity:
@@ -200,65 +242,38 @@ def _check_relation(p: _Parser, tok: _Token, name: str, arity: int, schema: dict
         )
 
 
-def _parse_term(p: _Parser, dists):
-    t = p.peek()
-    if t.kind in ("number", "string"):
-        p.next()
-        return p.constant(t)
-    if t.kind == "ident":
-        tok = p.expect_ident("term")
-        nxt = p.peek()
-        if nxt.kind == "punct" and nxt.text == "[":
-            spec = dists.get(tok.text) if dists is not None else None
-            if spec is None:
-                raise p.error(tok, f"unknown distribution '{tok.text}'")
-            p.expect_punct("[")
-            params = []
-            if p.peek().text != "]":  # Name[] for zero-parameter draws
-                params.append(_parse_inner_term(p))
-                while p.peek().text == ",":
-                    p.next()
-                    params.append(_parse_inner_term(p))
+def _parse_term(p: _Parser, dists, param: bool = False):
+    # a distribution parameter (``param``) is a term with no draw
+    if p.peek().kind in ("number", "string"):
+        return p.constant()
+    tok = p.expect_ident("a parameter" if param else "a term")
+    if not param and p.accept("["):
+        spec = dists.get(tok.text) if dists is not None else None
+        if spec is None:
+            raise p.error(tok, f"unknown distribution '{tok.text}'")
+        params = []
+        if not p.accept("]"):  # Name[] for zero-parameter draws
+            params = p.comma_list(lambda: _parse_term(p, dists, param=True))
             p.expect_punct("]")
-            if len(params) != spec.pardim:
-                raise p.error(
-                    tok,
-                    f"distribution '{tok.text}' expects {spec.pardim} "
-                    f"parameters, got {len(params)}",
-                )
-            return DeltaTerm(tok.text, tuple(params))
-        if tok.text[0].islower():
-            return Variable(tok.text)
-        raise p.error(
-            tok,
-            f"'{tok.text}': variables start lowercase; quote symbolic constants",
-        )
-    raise p.error(t, f"expected a term, found '{t.text or t.kind}'")
-
-
-def _parse_inner_term(p: _Parser):
-    # distribution parameters: constants or variables, no nested draws
-    t = p.peek()
-    if t.kind in ("number", "string"):
-        p.next()
-        return p.constant(t)
-    if t.kind == "ident":
-        tok = p.expect_ident("parameter")
-        if tok.text[0].islower():
-            return Variable(tok.text)
-        raise p.error(tok, f"'{tok.text}': variables start lowercase")
-    raise p.error(t, f"expected a parameter, found '{t.text or t.kind}'")
+        if len(params) != spec.pardim:
+            raise p.error(
+                tok,
+                f"distribution '{tok.text}' expects {spec.pardim} "
+                f"parameters, got {len(params)}",
+            )
+        return DeltaTerm(tok.text, tuple(params))
+    if tok.text[0].islower():
+        return Variable(tok.text)
+    hint = "" if param else "; quote symbolic constants"
+    raise p.error(tok, f"'{tok.text}': variables start lowercase{hint}")
 
 
 def _parse_atom(p: _Parser, schema: dict, dists) -> Atom:
     tok = p.expect_ident("relation name")
     p.expect_punct("(")
-    args = [_parse_term(p, dists)]
-    while p.peek().text == ",":
-        p.next()
-        args.append(_parse_term(p, dists))
+    args = p.comma_list(lambda: _parse_term(p, dists))
     p.expect_punct(")")
-    _check_relation(p, tok, tok.text, len(args), schema)
+    _check_relation(p, tok, len(args), schema)
     return Atom(tok.text, tuple(args))
 
 
@@ -267,13 +282,16 @@ def parse_program(text: str, dists, filename: str = "<string>") -> Program:
     p = _Parser(text, filename)
     edb: dict = {}
     idb: dict = {}
+    schema: dict = {}  # edb and idb together
     rules: list = []
     constraints: list = []
 
+    def atom() -> Atom:
+        return _parse_atom(p, schema, dists)
+
     while p.peek().kind != "eof":
-        t = p.peek()
-        if t.kind == "ident" and t.text in ("edb", "idb"):
-            p.next()
+        decl = p.keyword("edb", "idb")
+        if decl is not None:
             name_tok = p.expect_ident("relation name")
             p.expect_punct("/")
             arity_tok = p.next()
@@ -285,39 +303,24 @@ def parse_program(text: str, dists, filename: str = "<string>") -> Program:
                 raise p.error(arity_tok, "arity must be positive")
             p.expect_punct(".")
             name = name_tok.text
-            if name in edb or name in idb:
+            if name in schema:
                 raise p.error(name_tok, f"duplicate declaration of '{name}'")
-            (edb if t.text == "edb" else idb)[name] = arity
+            schema[name] = (edb if decl.text == "edb" else idb)[name] = arity
             continue
 
-        schema = {**edb, **idb}
-        first = _parse_atom(p, schema, dists)
-        sep = p.next()
-        if sep.kind == "punct" and sep.text == ":-":
-            body = [_parse_atom(p, schema, dists)]
-            while p.peek().text == ",":
-                p.next()
-                body.append(_parse_atom(p, schema, dists))
-            p.expect_punct(".")
-            rules.append(Rule(first, tuple(body)))
-        elif sep.kind == "punct" and (sep.text == "," or sep.text == "=>"):
-            body = [first]
-            while sep.text == ",":
-                body.append(_parse_atom(p, schema, dists))
-                sep = p.next()
-            if sep.text != "=>":
-                raise p.error(sep, f"expected '=>', found '{sep.text or sep.kind}'")
-            head: Atom | None
-            nxt = p.peek()
-            if nxt.kind == "ident" and nxt.text == "false":
-                p.next()
-                head = None
-            else:
-                head = _parse_atom(p, schema, dists)
-            p.expect_punct(".")
-            constraints.append(Constraint(tuple(body), head))
+        first = atom()
+        if p.accept(":-"):
+            rules.append(Rule(first, tuple(p.comma_list(atom))))
         else:
-            raise p.error(sep, f"expected ':-' or '=>', found '{sep.text or sep.kind}'")
+            body = [first]
+            if p.accept(","):
+                body += p.comma_list(atom)
+                p.expect_punct("=>")
+            elif not p.accept("=>"):
+                raise p.found(p.peek(), "':-' or '=>'")
+            head = None if p.keyword("false") else atom()
+            constraints.append(Constraint(tuple(body), head))
+        p.expect_punct(".")
 
     return Program(edb, idb, rules, constraints, dists)
 
@@ -329,27 +332,13 @@ def parse_program(text: str, dists, filename: str = "<string>") -> Program:
 def _parse_one_fact(p: _Parser, schema: dict, what: str) -> Fact:
     tok = p.expect_ident("relation name")
     p.expect_punct("(")
-    args = []
-    while True:
-        t = p.next()
-        if t.kind in ("number", "string"):
-            args.append(p.constant(t))
-        else:
-            raise p.error(t, f"expected a constant, found '{t.text or t.kind}'")
-        t = p.next()
-        if t.text == ")":
-            break
-        if t.text != ",":
-            raise p.error(t, f"expected ',' or ')', found '{t.text or t.kind}'")
+    args = p.comma_list(p.constant)
+    if not p.accept(")"):
+        raise p.found(p.peek(), "',' or ')'")
     p.expect_punct(".")
     if tok.text not in schema:
         raise p.error(tok, f"'{tok.text}' is not {what}")
-    if schema[tok.text] != len(args):
-        raise p.error(
-            tok,
-            f"relation '{tok.text}' declared with arity {schema[tok.text]}, "
-            f"used with {len(args)}",
-        )
+    _check_relation(p, tok, len(args), schema)
     return Fact(tok.text, tuple(args))
 
 
@@ -465,12 +454,17 @@ def render_constraint(c: Constraint) -> str:
     return f"{body} => {head}."
 
 
+def render_declarations(edb: dict, idb: dict) -> list:
+    """The declaration lines of the schemas ``edb`` and ``idb``, in order."""
+    return [
+        f"{kind} {name}/{arity}."
+        for kind, schema in (("edb", edb), ("idb", idb))
+        for name, arity in schema.items()
+    ]
+
+
 def render_program(program: Program) -> str:
-    lines = []
-    for name, arity in program.edb.items():
-        lines.append(f"edb {name}/{arity}.")
-    for name, arity in program.idb.items():
-        lines.append(f"idb {name}/{arity}.")
+    lines = render_declarations(program.edb, program.idb)
     if program.rules:
         lines.append("")
     for r in program.rules:

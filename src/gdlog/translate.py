@@ -20,7 +20,7 @@ from .model import (
     Variable,
     validate_program,
 )
-from .parser import render_atom
+from .parser import render_atom, render_declarations
 
 __all__ = [
     "DistRelation",
@@ -215,13 +215,8 @@ def render_existential_rule(rule: ExistentialRule) -> str:
 
 
 def render_existential_program(p: ExistentialProgram) -> str:
-    lines = []
-    for name, arity in p.edb.items():
-        lines.append(f"edb {name}/{arity}.")
-    for name, arity in p.idb.items():
-        lines.append(f"idb {name}/{arity}.")
-    for dr in p.dist_relations:
-        lines.append(f"idb {dr.name}/{dr.arity}.")
+    idb = {**p.idb, **{dr.name: dr.arity for dr in p.dist_relations}}
+    lines = render_declarations(p.edb, idb)
     lines.append("")
     for r in p.rules:
         lines.append(render_existential_rule(r))

@@ -276,6 +276,24 @@ def test_non_finite_number_in_facts_exit_1(tmp_path, capsys):
     assert _single_error(err, "e.facts:2:3: '1e999' is not a finite number")
 
 
+def test_string_separator_in_facts_exit_1(tmp_path, capsys):
+    facts = tmp_path / "e.facts"
+    facts.write_text('E("a" ")").\n')
+    code, out, err = _sample_e(tmp_path, capsys, "--edb", facts)
+    assert code == 1 and out == ""
+    assert _single_error(err, "e.facts:1:7: expected ',' or ')', found '\")\"'")
+
+
+def test_string_draw_parameter_exit_2(tmp_path, capsys):
+    facts = tmp_path / "e.facts"
+    facts.write_text("E(1).\n")
+    code, out, err = _sample_e(
+        tmp_path, capsys, "--edb", facts, rule='R(Flip["]"]) :- E(x).'
+    )
+    assert code == 2 and out == ""
+    assert _single_error(err, "Flip: parameter ']' is symbolic, must be numeric")
+
+
 @pytest.mark.parametrize("cell", ["inf", "-inf", "infinity", "1e999"])
 def test_non_finite_number_in_csv_exit_1(tmp_path, capsys, cell):
     csv = tmp_path / "e.csv"

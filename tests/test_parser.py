@@ -84,6 +84,36 @@ def test_parse_errors(registry, src, message):
         parse_program(src, registry)
 
 
+@pytest.mark.parametrize(
+    "src,col,found",
+    [
+        ('edb S/2.\nidb R/1.\nR(x) :- S(x "," y).', 13, """expected ')', found '","'"""),
+        ('edb S/1.\nidb R/1.\nR(x) :- S(x) "," S(x).', 14, """expected '.', found '","'"""),
+    ],
+    ids=["in-atom", "in-body"],
+)
+def test_string_is_never_punctuation_in_programs(registry, src, col, found):
+    with pytest.raises(ParseError) as err:
+        parse_program(src, registry)
+    assert (err.value.span.line, err.value.span.col) == (3, col)
+    assert err.value.message == found
+
+
+def test_string_draw_parameter(registry):
+    # "]" is a parameter, not the closing bracket; the chase rejects it
+    p = parse_program('edb S/1.\nidb R/2.\nR(x, Flip["]"]) :- S(x).', registry)
+    assert p.rules[0].head.args[1] == DeltaTerm("Flip", ("]",))
+
+
+def test_keyword_named_relations(registry):
+    p = parse_program("idb edb/1.\nedb S/1.\nedb(x) :- S(x).", registry)
+    assert p.rules[0].head == Atom("edb", (Variable("x"),))
+    p = parse_program("edb edb/1.\nedb S/1.\nedb(x) => S(x).", registry)
+    assert p.constraints[0].body == (Atom("edb", (Variable("x"),)),)
+    p = parse_program("edb S/1.\nidb false/1.\nS(x) => false(x).", registry)
+    assert p.constraints[0].head == Atom("false", (Variable("x"),))
+
+
 def test_parse_error_span(registry):
     with pytest.raises(ParseError) as err:
         parse_program("edb S/1.\nidb R/1.\nR(x) :- Q(x).\n", registry, "prog.gdl")
@@ -135,6 +165,26 @@ def test_parse_facts_errors(burglar):
         parse_facts("City(napa, 0.03).", burglar.edb)
 
 
+@pytest.mark.parametrize(
+    "text,schema,found",
+    [
+        ('S("a" ")").', {"S": 1}, """'")"'"""),
+        ('S("a" "," "b").', {"S": 2}, """'","'"""),
+    ],
+    ids=["close", "comma"],
+)
+def test_string_is_never_punctuation_in_facts(text, schema, found):
+    with pytest.raises(ParseError) as err:
+        parse_facts(text, schema)
+    assert str(err.value) == f"<string>:1:7: expected ',' or ')', found {found}"
+
+
+def test_string_is_never_punctuation_in_fact_literal():
+    with pytest.raises(ParseError) as err:
+        parse_fact_literal('S("a" ")")', {"S": 1})
+    assert str(err.value) == """<query>:1:7: expected ',' or ')', found '")"'"""
+
+
 def test_parse_fact_literal(burglar):
     schema = {**burglar.edb, **burglar.idb}
     f = parse_fact_literal('Earthquake("Napa", 1)', schema)
@@ -179,6 +229,18 @@ def test_load_edb_csv_column_mismatch(burglar):
         load_edb_csv("House", io.StringIO("NP1,Napa,extra\n"), burglar.edb)
 
 
+# relations named like the keywords, each used where a keyword could stand
+KEYWORD_RELATIONS = """\
+idb edb/1.
+edb idb/2.
+idb false/1.
+edb(x) :- idb(x, y).
+idb(x, y), edb(x) => false(x).
+false(x) => false(x).
+edb(x), false(x) => false.
+"""
+
+
 @pytest.mark.parametrize(
     "name",
     [
@@ -193,10 +255,14 @@ def test_load_edb_csv_column_mismatch(burglar):
         "visits_implied.gdl",
         "pdb.gdl",
         "disjunctive.gdl",
+        "keyword_relations",
     ],
 )
 def test_program_round_trip(registry, name):
-    program = load_program(name, registry)
+    if name == "keyword_relations":
+        program = parse_program(KEYWORD_RELATIONS, registry)
+    else:
+        program = load_program(name, registry)
     text = render_program(program)
     again = parse_program(text, registry, f"rt:{name}")
     assert again == program
