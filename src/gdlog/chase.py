@@ -14,7 +14,11 @@ Every other body atom is looked up through a hash index on the state,
 keyed by the positions that a constant or an earlier atom already binds
 (one compiled plan per rule and delta atom); an atom with no bound
 position is scanned. Indexes are built from the fact sets on first use
-and kept up to date on insertion; copies of a state start without them.
+and kept up to date on insertion. A copy of a state shares every
+relation's rows, obligations and indexes with it; the first write to a
+relation, on either side, copies its rows and obligations and drops its
+indexes, which are rebuilt on demand, so a branch pays only for the
+relations it writes.
 Since facts are only ever added, a binding is discovered exactly once,
 when the last of its body rows arrives, so the frontier needs no record
 of past firings: the only duplicates are within one discovery batch,
@@ -146,7 +150,15 @@ class Outcome:
 
 
 class ChaseState:
-    """Mutable run state: growing instance, frontier, weight ledger."""
+    """Mutable run state: growing instance, frontier, weight ledger.
+
+    States share relations copy-on-write. A relation's row set, its
+    obligations and its index buckets are mutated only by a state that
+    owns them, and a state owns them (``rel in owned``) only if no other
+    state references them; an index built on shared rows serves every
+    state that shares them. ``copy`` gives up ownership on both sides and
+    ``own`` takes it back, one relation at a time.
+    """
 
     __slots__ = (
         "facts",
@@ -157,6 +169,7 @@ class ChaseState:
         "draws",
         "steps",
         "pops",
+        "owned",
     )
 
     def __init__(self):
@@ -169,18 +182,30 @@ class ChaseState:
         self.draws: list = []  # (distrel name, key, pmf) not yet in the ledger
         self.steps = 0
         self.pops = 0
+        self.owned: set = set()  # relations no other state references
 
     def copy(self) -> "ChaseState":
         s = ChaseState.__new__(ChaseState)
-        s.facts = {r: set(v) for r, v in self.facts.items()}
-        s.obls = {r: dict(v) for r, v in self.obls.items()}
+        s.facts = dict(self.facts)
+        s.obls = dict(self.obls)
         s.pending = deque(self.pending)
-        s.index = {}  # derived from facts, rebuilt on demand
+        s.index = dict(self.index)
         s.ledger = list(self.ledger)  # entries are immutable tuples
         s.draws = list(self.draws)
         s.steps = self.steps
         s.pops = self.pops
+        s.owned = set()
+        self.owned = set()
         return s
+
+    def own(self, rel: str) -> None:
+        """Take this state's own copy of ``rel``'s rows and obligations
+        before its first write to them, dropping the shared indexes."""
+        self.owned.add(rel)
+        self.facts[rel] = set(self.facts.get(rel, ()))
+        if rel in self.obls:
+            self.obls[rel] = dict(self.obls[rel])
+        self.index.pop(rel, None)
 
     def rows_matching(self, rel: str, positions: tuple, key) -> list:
         """Rows of ``rel`` whose values at ``positions`` equal ``key``: a
@@ -196,7 +221,9 @@ class ChaseState:
 
     def add_row(self, rel: str, row: tuple) -> None:
         """Insert a new row into the instance and every index built on it."""
-        rows = self.facts.setdefault(rel, set())
+        if rel not in self.owned:
+            self.own(rel)
+        rows = self.facts[rel]
         assert row not in rows, "chase step would not grow the instance"
         rows.add(row)
         for getter, buckets in self.index.get(rel, {}).values():
@@ -591,6 +618,8 @@ class ChaseEngine:
                 if rng is None:
                     raise GdlogError("distributional firing needs a choice or an rng")
                 value, weight = spec.draw(params, rng)
+            if rel not in state.owned:
+                state.own(rel)
             obls = state.obls.setdefault(rel, {})
             assert key not in obls, "functional dependency would be violated"
             obls[key] = value

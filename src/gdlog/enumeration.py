@@ -13,15 +13,24 @@ The loop keeps each leaf as its chase state's rows (relation -> frozenset
 of rows) with its masses, and ``_ordered`` puts the leaves in output order.
 The CLI renders each leaf's rows directly; only the library's
 ``OutcomeDistribution`` builds ``Fact`` objects.
+
+A branch point copies its state for every value of the support but the
+last, whose child continues in the parent's state; a copy shares the rows
+of every relation until it writes them. A state's canonical mass is taken
+once, when it is pushed: the chase to the next branch point draws
+nothing, so the mass popped is the mass pushed. A support is enumerated
+once per rule and parameter tuple. The walk makes no reference cycles, so
+the cyclic garbage collector is paused around it: the states and leaves
+it allocates would otherwise trigger collections that free nothing.
 """
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 from dataclasses import dataclass
 
 from .chase import BUDGET_EXHAUSTED, LEAF, ChaseEngine, Outcome
-from .distributions import DomainError
 from .model import Fact, GdlogError, Program, _row_key, _sorted_canonical
 from .translate import to_existential
 
@@ -107,57 +116,68 @@ def _explore(g: Program, input_facts, policy, observe=None) -> tuple:
     leaves: list = []  # of (rows, probability, log probability)
     seen: set = set()  # each leaf's rows as one frozenset
     residual_parts: list = []
+    supports: dict = {}  # (rule index, parameters) -> (support, its tail)
     steps = 0
     counter = 0
     heap = [(-1.0, counter, root)]  # (-path mass, insertion order, state)
-    while heap:
-        neg_mass, _, state = heapq.heappop(heap)
-        if steps >= policy.node_budget:
-            residual_parts.append(-neg_mass)
-            continue
-        # drive the deterministic prefix of this subtree; the budget counts
-        # steps across the whole tree
-        start = state.steps
-        stop = engine.run_to_branch(state, start + policy.node_budget - steps)
-        steps += state.steps - start
-        if stop is LEAF:
-            if keep is not None and not keep(state):
-                dropped += 1
+    # the walk makes no reference cycles: reference counting frees all it
+    # allocates, and collections would only rescan its live states
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        while heap:
+            neg_mass, _, state = heapq.heappop(heap)
+            mass = -neg_mass  # the pushed state's canonical mass
+            if steps >= policy.node_budget:
+                residual_parts.append(mass)
                 continue
-            # frozen rows serve as the leaf and as its duplicate check, and
-            # let the state's own sets go
-            rows = {r: frozenset(v) for r, v in state.facts.items() if v}
-            frozen = frozenset(rows.items())
-            assert frozen not in seen, "chase tree produced a duplicate leaf"
-            seen.add(frozen)
-            leaves.append(
-                (rows, engine.canonical_mass(state), engine.canonical_log_mass(state))
-            )
-            continue
-        if stop is BUDGET_EXHAUSTED:
-            residual_parts.append(engine.canonical_mass(state))
-            continue
+            # drive the deterministic prefix of this subtree; the budget
+            # counts steps across the whole tree
+            start = state.steps
+            stop = engine.run_to_branch(state, start + policy.node_budget - steps)
+            steps += state.steps - start
+            if stop is LEAF:
+                if keep is not None and not keep(state):
+                    dropped += 1
+                    continue
+                # frozen rows serve as the leaf and as its duplicate check,
+                # and let the state's own sets go
+                rows = {r: frozenset(v) for r, v in state.facts.items() if v}
+                frozen = frozenset(rows.items())
+                assert frozen not in seen, "chase tree produced a duplicate leaf"
+                seen.add(frozen)
+                leaves.append((rows, mass, engine.canonical_log_mass(state)))
+                continue
+            if stop is BUDGET_EXHAUSTED:
+                residual_parts.append(mass)
+                continue
 
-        # distributional firing: branch over the support
-        rule, slots = stop
-        key = rule.head_key(slots)
-        target = 1.0 - policy.mass_epsilon
-        if not rule.spec.finite_support:
-            target = min(target, policy.support_mass_target)
-        try:
-            support = rule.spec.enumerate_support(rule.distrel.params(key), target)
-        except DomainError as e:
-            raise DomainError(f"{engine._firing_context(rule, slots)}: {e}") from e
-        parent_mass = engine.canonical_mass(state)
-        tail = 1.0 - math.fsum(p for _, p in support)
-        if tail > 0.0:
-            residual_parts.append(parent_mass * tail)
-        for value, p in support:
-            child = state.copy()
-            engine.apply(child, rule, slots, choice=value, pmf=p)
-            steps += 1
-            counter += 1
-            heapq.heappush(heap, (-engine.canonical_mass(child), counter, child))
+            # distributional firing: branch over the support
+            rule, slots = stop
+            key = rule.head_key(slots)
+            params = rule.distrel.params(key)
+            memo = supports.get((rule.index, params))
+            if memo is None:
+                target = 1.0 - policy.mass_epsilon
+                if not rule.spec.finite_support:
+                    target = min(target, policy.support_mass_target)
+                checked = engine.checked_params(rule, slots, key)
+                support = rule.spec.enumerate_support(checked, target)
+                tail = 1.0 - math.fsum(p for _, p in support)
+                memo = supports[rule.index, params] = support, tail
+            support, tail = memo
+            if tail > 0.0:
+                residual_parts.append(mass * tail)
+            last = len(support) - 1
+            for i, (value, p) in enumerate(support):
+                child = state if i == last else state.copy()
+                engine.apply(child, rule, slots, choice=value, pmf=p)
+                steps += 1
+                counter += 1
+                heapq.heappush(heap, (-engine.canonical_mass(child), counter, child))
+    finally:
+        if collecting:
+            gc.enable()
 
     explored = math.fsum(p for _, p, _ in leaves)
     return leaves, explored, math.fsum(residual_parts), dropped

@@ -13,16 +13,19 @@ outcome's facts are regrouped by (relation, arity) and checked there.
 ``old_ordered`` is the leaf order enumeration had before tied leaves
 were first compared by their plain rows: each tie sorted by the
 ``fact_key`` values of its facts. ``old_estimate_posterior`` is the
-Monte Carlo loop before runs shared one chase tree. The property tests
-check that the engine returns the same masses, rejection reasons,
-enumerated distributions, posteriors, estimates and leaf orders. Heads and
-functional-dependency keys are grounded by ``ground``, term by term, as
-the engine did before it compiled a ``head_key`` per rule.
+Monte Carlo loop before runs shared one chase tree, and ``old_copy`` is
+``ChaseState.copy`` before states shared relations copy-on-write. The
+property tests check that the engine returns the same masses, rejection
+reasons, enumerated distributions, posteriors, estimates and leaf
+orders. Heads and functional-dependency keys are grounded by ``ground``,
+term by term, as the engine did before it compiled a ``head_key`` per
+rule.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 
 from gdlog.chase import (
     BUDGET_EXHAUSTED,
@@ -67,6 +70,22 @@ def _dist_facts_sorted(engine, state):
         for key, value in entries:
             out.append((spec, value, dr.params(key)))
     return out
+
+
+def old_copy(state: ChaseState) -> ChaseState:
+    """A copy that shares no relation with ``state``: every row set and
+    obligation dict is copied, and the copy starts without indexes."""
+    s = ChaseState.__new__(ChaseState)
+    s.facts = {r: set(v) for r, v in state.facts.items()}
+    s.obls = {r: dict(v) for r, v in state.obls.items()}
+    s.pending = deque(state.pending)
+    s.index = {}
+    s.ledger = list(state.ledger)
+    s.draws = list(state.draws)
+    s.steps = state.steps
+    s.pops = state.pops
+    s.owned = set(s.facts)  # nothing is shared
+    return s
 
 
 def old_canonical_mass(engine, state) -> float:
