@@ -34,13 +34,14 @@ whole binding when the body is that one atom, so no join runs. Constants
 reach the generated code through its namespace, never through its
 source text.
 
-``ChaseEngine.run`` is the one chase driver, steered by an optional
-``choose(rule, slots)`` callback that sees every firing before it is
-applied and picks the value to draw, skips the firing, or stops the run
-there. Sampling draws from an rng; replay and cylinder masses force every
-choice from a target fact set (``forced_mass``). ``run_to_branch`` stops
-before each distributional firing: enumeration branches there over the
-support, and Monte Carlo inference follows one drawn value per sample.
+``ChaseEngine.run`` is the one chase driver, with one stop rule: a
+distributional firing draws from the run's rng, or without one is returned
+unapplied. Chases differ only in who picks that value: sampling draws it,
+enumeration branches over the support (``run_to_branch``), Monte Carlo
+inference follows one drawn value per sample, and replay and cylinder
+masses force it from a target fact set (``forced_mass``). An optional
+``choose(rule, slots)`` callback applies, skips or stops at each
+deterministic firing.
 
 Draw weights are accumulated in log space while a run is in flight. Each
 state also keeps a ledger of its draws' pmfs, taken when the draw fires
@@ -75,7 +76,6 @@ __all__ = [
     "LEAF",
     "BUDGET_EXHAUSTED",
     "SKIP",
-    "BRANCH",
     "Firing",
     "Outcome",
     "Rejection",
@@ -89,9 +89,7 @@ __all__ = [
 
 LEAF = "leaf"
 BUDGET_EXHAUSTED = "budget-exhausted"
-# returned by a ``choose`` callback; objects, so no drawn value equals them
-SKIP = object()  # drop this firing
-BRANCH = object()  # stop before this firing and return it
+SKIP = object()  # returned by a ``choose`` callback: drop this firing
 
 FIFO = "fifo"
 REVERSED_RULES = "reversed-rules"
@@ -118,14 +116,6 @@ class Firing:
     @property
     def binding(self) -> dict:
         return dict(self.binding_items)
-
-
-class _ZeroWeight(DomainError):
-    """A forced choice with no mass; ``firing`` is (value, relation, key)."""
-
-    def __init__(self, message: str, firing: tuple):
-        super().__init__(message)
-        self.firing = firing
 
 
 @dataclass(frozen=True)
@@ -399,10 +389,6 @@ def _matcher(args, nvars: int):
     return eval(f"lambda r: {out}", ns)
 
 
-def _branch_at(rule, slots):
-    return None if rule.distrel is None else BRANCH
-
-
 def _reversed_pend(item) -> tuple:
     # a pending (rule index, slots) pair under reversed rule priority
     return (-item[0], item[1])
@@ -593,8 +579,8 @@ class ChaseEngine:
     ) -> tuple:
         """Fire a rule instance, drawing ``choice`` or else from ``rng``;
         returns the added (relation, row). A ``pmf`` given with ``choice``
-        comes from ``draw`` or ``enumerate_support``, which checked the
-        parameters, and is taken as is."""
+        comes from ``draw``, ``enumerate_support`` or ``forced_mass``, which
+        checked the parameters, and is taken as is."""
         rel = rule.head_rel
         row = key = rule.head_key(slots)
         if rule.distrel is not None:
@@ -609,10 +595,9 @@ class ChaseEngine:
                 value = choice if symbol else float(choice)
                 weight = 0.0 if symbol else spec._pmf(value, params)
                 if weight <= 0.0:
-                    raise _ZeroWeight(
+                    raise DomainError(
                         f"{self._firing_context(rule, slots)}: value {value} "
-                        f"outside support of {dr.dist}",
-                        (choice, rel, key),
+                        f"outside support of {dr.dist}"
                     )
             else:
                 if rng is None:
@@ -667,11 +652,12 @@ class ChaseEngine:
         """Drive the chase until no firing applies (LEAF) or ``state.steps``
         reaches ``step_budget`` with one still applicable (BUDGET_EXHAUSTED).
 
-        ``choose(rule, slots)``, if given, sees each applicable firing within
-        the budget and returns the value to draw (None for a deterministic
-        rule or an rng draw), ``SKIP`` to drop the firing, a ``Rejection``,
-        returned with the firing unapplied, or ``BRANCH``, which returns the
-        unapplied firing itself as (rule, slots).
+        A distributional firing within the budget draws from ``rng``; with
+        no ``rng`` the run stops there and returns the firing, popped from
+        the frontier but unapplied, as (rule, slots). ``choose(rule,
+        slots)``, if given, sees each deterministic firing within the budget
+        and returns None to apply it, ``SKIP`` to drop it, or a
+        ``Rejection``, which the run returns with the firing unapplied.
         """
         if step_budget < 1:
             raise GdlogError("step_budget must be positive")
@@ -682,20 +668,21 @@ class ChaseEngine:
             if state.steps >= step_budget:
                 return BUDGET_EXHAUSTED
             rule, slots = nxt
-            choice = None if choose is None else choose(rule, slots)
-            if choice is not None:
-                if choice is SKIP:
-                    continue
-                if choice is BRANCH:
+            if rule.distrel is not None:
+                if rng is None:
                     return nxt
-                if isinstance(choice, Rejection):
-                    return choice
-            self.apply(state, rule, slots, choice, rng)
+            elif choose is not None:
+                stop = choose(rule, slots)
+                if stop is SKIP:
+                    continue
+                if stop is not None:
+                    return stop
+            self.apply(state, rule, slots, None, rng)
 
     def run_to_branch(self, state: ChaseState, step_budget: int):
         """Chase without draws: LEAF, BUDGET_EXHAUSTED, or the distributional
         firing the run stopped before, unapplied, as (rule, slots)."""
-        return self.run(state, None, step_budget, _branch_at)
+        return self.run(state, None, step_budget)
 
     # -- outcome bookkeeping ----------------------------------------------
 
@@ -721,14 +708,16 @@ class ChaseEngine:
     def forced_mass(self, input_facts, target: frozenset, strict: bool):
         """Chase ``input_facts`` with every choice forced by ``target``.
 
-        A distributional firing must draw the value that the target's
-        functional dependency fixes for its key. A firing whose head is not
-        in the target is rejected if ``strict`` (replay: the target must be
-        an outcome), else skipped (cylinder: the target need only be a
-        chase prefix). Facts only grow and every applied firing adds a
-        target fact, so skipping cannot lose a firing that would later fit.
-        Returns the canonical mass of the reached state, or a Rejection
-        naming the first problem, including a target fact left underived.
+        The run has no rng, so it returns each distributional firing, which
+        is then weighed once and drawn here with the value that the
+        target's functional dependency fixes for its key. A firing whose
+        head is not in the target is rejected if ``strict`` (replay: the
+        target must be an outcome), else dropped (cylinder: the target need
+        only be a chase prefix). Facts only grow and every applied firing
+        adds a target fact, so dropping cannot lose a firing that would
+        later fit. Returns the canonical mass of the reached state, or a
+        Rejection naming the first problem, including a target fact left
+        underived.
         """
         target_rows: dict = {}
         for f in target:
@@ -746,34 +735,35 @@ class ChaseEngine:
                 return Rejection(f"functional dependency violation on {dr.name}")
 
         def choose(rule, slots):
-            dr = rule.distrel
-            key = rule.head_key(slots)  # the head row of a deterministic rule
-            if dr is None:
-                if key in target_rows.get(rule.head_rel, ()):
-                    return None
-            elif key in keyed[dr.name]:
-                value = keyed[dr.name][key]
-                # a symbol has no mass: rejected before apply checks the parameters
-                if isinstance(value, str):
-                    return Rejection(
-                        f"zero-weight choice {value} on {dr.name} at {key}"
-                    )
-                return value
+            row = rule.head_key(slots)
+            if row in target_rows.get(rule.head_rel, ()):
+                return None
             if not strict:
                 return SKIP
-            if dr is None:
-                fact = render_fact(Fact(rule.head_rel, key))
-                return Rejection(f"missing forced fact {fact}")
-            return Rejection(
-                f"missing forced fact: unresolved obligation on {dr.name} at {key}"
-            )
+            fact = render_fact(Fact(rule.head_rel, row))
+            return Rejection(f"missing forced fact {fact}")
 
         state = self.initial_state(input_facts)
         # each step adds a target fact, so this budget is never reached
-        try:
-            stop = self.run(state, None, len(target) + 1, choose)
-        except _ZeroWeight as e:
-            return Rejection("zero-weight choice {} on {} at {}".format(*e.firing))
+        budget = len(target) + 1
+        while isinstance(stop := self.run(state, None, budget, choose), tuple):
+            rule, slots = stop
+            rel, key = rule.head_rel, rule.head_key(slots)
+            if key not in keyed[rel]:
+                if strict:
+                    return Rejection(
+                        f"missing forced fact: unresolved obligation on {rel} at {key}"
+                    )
+                continue  # the run popped the firing: it is dropped
+            value = keyed[rel][key]
+            # a symbol has no mass: rejected before the parameters are checked
+            pmf = 0.0
+            if not isinstance(value, str):
+                params = self.checked_params(rule, slots, key)
+                pmf = rule.spec._pmf(float(value), params)
+            if pmf <= 0.0:
+                return Rejection(f"zero-weight choice {value} on {rel} at {key}")
+            self.apply(state, rule, slots, float(value), pmf=pmf)
         if isinstance(stop, Rejection):
             return stop
         left = sorted(target - state.instance(), key=fact_key)

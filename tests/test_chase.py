@@ -312,6 +312,38 @@ def test_invariant_check_catches_a_wrong_draw_ledger(burglar, burglar_edb):
         engine.run(state, rng, 10**6)
 
 
+def test_run_without_rng_returns_the_drawn_firing_unapplied(burglar, burglar_edb):
+    engine = ChaseEngine(to_existential(burglar))
+    state = engine.initial_state(burglar_edb)
+    facts = {rel: set(rows) for rel, rows in state.facts.items()}
+    rule, slots = engine.run(state, None, 10**6)
+    # the first pending firing draws an earthquake
+    assert rule.index == 0 and rule.distrel is not None
+    assert not engine.head_satisfied(state, rule, slots)
+    assert state.steps == 0
+    assert state.facts == facts
+    assert state.canonical_draws() == []
+
+
+def test_choose_sees_only_deterministic_firings(burglar, burglar_edb):
+    engine = ChaseEngine(to_existential(burglar))
+    seen = []
+
+    def choose(rule, slots):
+        seen.append(rule)
+        return None
+
+    for seed in range(5):
+        state = engine.initial_state(burglar_edb)
+        assert engine.run(state, RngStream(seed, 0), 10**6, choose) == LEAF
+    state = engine.initial_state(burglar_edb)
+    while isinstance(stop := engine.run(state, None, 10**6, choose), tuple):
+        engine.apply(state, *stop, choice=1.0)
+    assert stop == LEAF
+    assert seen
+    assert all(rule.distrel is None for rule in seen)
+
+
 # -- replay_weight ---------------------------------------------------------------
 
 
