@@ -124,6 +124,19 @@ def test_nan_input_fact_rejected(burglar):
         engine.initial_state({_fact("City", "Yucaipa", 0.01), nan_city})
 
 
+def test_input_fact_outside_the_edb_rejected(burglar):
+    engine = ChaseEngine(to_existential(burglar))
+    with pytest.raises(GdlogError, match=r"^input fact Alarm\(\"NP1\"\): 'Alarm' is not EDB$"):
+        engine.initial_state({_fact("Alarm", "NP1")})
+    with pytest.raises(GdlogError, match=r'^input fact City\("Napa"\): arity 1, declared 2$'):
+        engine.initial_state({_fact("City", "Napa")})
+
+
+def test_unknown_scheduling_order_rejected(burglar):
+    with pytest.raises(GdlogError, match="^unknown scheduling order 'lifo'$"):
+        ChaseEngine(to_existential(burglar), order="lifo")
+
+
 # -- chase_step ----------------------------------------------------------------
 
 
@@ -217,6 +230,15 @@ def test_firing_roundtrip_errors(burglar, burglar_edb):
         chase_step(state, Firing(0, (("c", "Napa"),)), engine)  # r unbound
     with pytest.raises(GdlogError, match="body unsatisfied"):
         chase_step(state, Firing(0, (("c", "Atlantis"), ("r", 0.5))), engine)
+
+
+def test_step_on_a_drawn_firing_needs_a_choice_or_an_rng(burglar, burglar_edb):
+    engine = ChaseEngine(to_existential(burglar))
+    state = engine.initial_state(burglar_edb)
+    quake = next(f for f in applicable_firings(state, engine) if f.rule_index == 0)
+    with pytest.raises(GdlogError, match="^distributional firing needs a choice or an rng"):
+        chase_step(state, quake, engine)
+    assert "Earthquake__Flip__2" not in state.facts and state.steps == 0
 
 
 # -- sample_outcome ------------------------------------------------------------

@@ -374,6 +374,52 @@ def test_negative_seed_exit_1(capsys, argv):
     assert "Traceback" not in err
 
 
+_INFER = (
+    "infer",
+    CORPUS / "burglar_ppdl.gdl",
+    "--edb",
+    CORPUS / "burglar_report.facts",
+    "--query",
+    'Earthquake("Napa", 1)',
+)
+
+
+@pytest.mark.parametrize("command", [("check",), ("sample", "--seed", "1")])
+def test_invalid_program_exit_1(tmp_path, capsys, command):
+    prog = tmp_path / "invalid.gdl"
+    prog.write_text("edb S/1.\nidb R/1.\nS(x) :- R(x).\n")
+    code, out, err = run(capsys, command[0], prog, *command[1:])
+    assert (code, out) == (1, "")
+    assert err == f"error: {prog}: invalid program: rule 0: head relation 'S' is not IDB\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((*_INFER, "--mode", "mc"), "--seed is required with --mode mc"),
+        (
+            ("sample", CORPUS / "burglar.gdl", "--seed", "1", "--budget", "0"),
+            "step_budget must be positive",
+        ),
+        (
+            ("enumerate", CORPUS / "pdb.gdl", "--epsilon", "1"),
+            "mass_epsilon must be in [0, 1)",
+        ),
+        (("enumerate", CORPUS / "pdb.gdl", "--nodes", "0"), "node_budget must be >= 1"),
+        (
+            ("enumerate", CORPUS / "pdb.gdl", "--support-mass", "0"),
+            "support_mass_target must be in (0, 1]",
+        ),
+        ((*_INFER, "--mode", "exact", "--nodes", "0"), "node_budget must be >= 1"),
+    ],
+    ids=["mc-without-seed", "budget-0", "epsilon-1", "nodes-0", "support-mass-0",
+         "infer-nodes-0"],
+)
+def test_bad_option_value_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/nowhere.gdl")
     assert code == 1
