@@ -210,31 +210,11 @@ def _cmd_infer(args) -> int:
         est = estimate_posterior(
             program, input_facts, query, args.samples, args.seed, args.budget
         )
-        _emit(
-            {
-                "mode": "mc",
-                "query": render_fact(query),
-                "point": est.point,
-                "std_error": est.std_error,
-                "samples_total": est.samples_total,
-                "samples_accepted": est.samples_accepted,
-                "samples_budget_exhausted": est.samples_budget_exhausted,
-                "seed": est.seed,
-            }
-        )
-        return EXIT_OK
-    policy = EnumerationPolicy(mass_epsilon=args.epsilon, node_budget=args.nodes)
-    lo, hi, explored, residual = _exact_bounds(program, input_facts, query, policy)
-    _emit(
-        {
-            "mode": "exact",
-            "query": render_fact(query),
-            "point": lo,
-            "point_upper": hi,
-            "explored_mass": explored,
-            "residual_mass": residual,
-        }
-    )
+        report = vars(est)
+    else:
+        policy = EnumerationPolicy(mass_epsilon=args.epsilon, node_budget=args.nodes)
+        report = _exact_bounds(program, input_facts, query, policy)._asdict()
+    _emit({**report, "mode": args.mode, "query": render_fact(query)})
     return EXIT_OK
 
 
@@ -252,17 +232,13 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code = _COMMANDS[args.command](args)
-        _log(f"{args.command} finished in {time.perf_counter() - started:.3f}s")
-        return code
-    except IllegalInput as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ILLEGAL
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
     except (GdlogError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(e, IllegalInput):
+            return EXIT_ILLEGAL
+        return EXIT_RUNTIME if isinstance(e, DomainError) else EXIT_INPUT
+    _log(f"{args.command} finished in {time.perf_counter() - started:.3f}s")
+    return code
 
 
 if __name__ == "__main__":

@@ -136,8 +136,9 @@ class DistributionSpec:
         return tuple(float(p) for p in params)
 
     def pmf(self, value: float, params) -> float:
-        """Probability mass at ``value``; 0 outside the support."""
-        return self._pmf(float(value), self.check_params(params))
+        """Probability mass at ``value``; 0 outside the support, as for a symbol."""
+        params = self.check_params(params)
+        return 0.0 if isinstance(value, str) else self._pmf(float(value), params)
 
     def sample(self, params, rng: RngStream) -> float:
         """Draw a support-positive value; deterministic given the stream."""

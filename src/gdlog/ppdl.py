@@ -194,17 +194,20 @@ def exact_posterior(
     return _distribution(*_condition(p, input_facts, policy))
 
 
-def _exact_bounds(p: Program, input_facts, query: Fact, policy) -> tuple:
-    """(point, point_upper, explored mass, residual mass) of ``query`` under
-    the exact posterior: ``marginal_bounds(exact_posterior(...))`` and the
-    posterior's masses, read from the leaf rows without building facts.
+_Bounds = namedtuple("_Bounds", "point point_upper explored_mass residual_mass")
+
+
+def _exact_bounds(p: Program, input_facts, query: Fact, policy) -> _Bounds:
+    """The bounds on ``query`` under the exact posterior and its masses:
+    ``marginal_bounds(exact_posterior(...))`` and the posterior's explored
+    and residual mass, read from the leaf rows without building facts.
     ``math.fsum`` is correctly rounded, so leaf order does not matter."""
     leaves, explored, residual, norm = _condition(p, input_facts, policy)
     rel, row = query.relation, query.args
     point = math.fsum(
         prob / norm for rows, prob, _ in leaves if row in rows.get(rel, ())
     )
-    return point, min(1.0, point + residual), explored, residual
+    return _Bounds(point, min(1.0, point + residual), explored, residual)
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,16 @@ def test_demo_distributions(reg):
     assert fork.pmf(6, [2.0]) == 0.0
 
 
+def test_symbol_has_no_mass():
+    # a symbol is outside every numeric support, even one that spells a number;
+    # the parameters are still checked first
+    flip = Registry.standard().get("Flip")
+    assert flip.pmf("1", (0.3,)) == 0.0
+    assert flip.pmf("s", (0.3,)) == 0.0
+    with pytest.raises(DomainError, match="Flip"):
+        flip.pmf("s", (1.5,))
+
+
 def test_parameter_domains(reg):
     with pytest.raises(DomainError, match="Flip"):
         reg.get("Flip").pmf(1, [1.5])

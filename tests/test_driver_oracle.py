@@ -38,7 +38,7 @@ from gdlog.enumeration import (
     enumerate_outcomes,
     marginal_bounds,
 )
-from gdlog.model import DeltaTerm, Fact, GdlogError, Variable, fact_key, validate_program
+from gdlog.model import DeltaTerm, Fact, GdlogError, Variable, fact_key
 from gdlog.ppdl import _estimate, _exact_bounds, exact_posterior
 from gdlog.translate import to_existential
 
@@ -51,13 +51,11 @@ from old_drivers import (
     old_exact_posterior,
     old_replay_weight,
 )
-from randprog import random_program
+from randprog import _VALUES, _constrained, _query, random_program
 from test_enumeration import dist_as_json
-from test_join_oracle import _random_constraint
 
 SEEDS = range(300)
 STEPS = 40
-_VALUES = [0.0, 1.0, 2.0, 3.0, 0.5, "s"]
 
 
 def _result(fn, *args):
@@ -187,15 +185,6 @@ def _posterior(condition, program, facts, policy):
     return dist.entries, dist.explored_mass, dist.residual_mass
 
 
-def _constrained(rnd: random.Random, program):
-    """``program`` with one or two random constraints."""
-    while True:  # a valid program: declared relations, no draw terms
-        constraints = [_random_constraint(rnd) for _ in range(rnd.randint(1, 2))]
-        constrained = dataclasses.replace(program, constraints=constraints)
-        if validate_program(constrained).ok:
-            return constrained
-
-
 def test_exact_posterior_matches_old_conditioning(registry):
     rnd = random.Random(4242)
     kinds = Counter()
@@ -215,21 +204,6 @@ def test_exact_posterior_matches_old_conditioning(registry):
     # not vacuous: every result occurs, with and without dropped leaves
     assert set(kinds) == {"IllegalInput", "UndeterminedLegality", "unchanged", "renormalized"}
     assert min(kinds.values()) > 20, kinds
-
-
-def _query(rnd: random.Random, facts: frozenset, outcome: frozenset) -> Fact:
-    """Mostly a derived fact of a sampled outcome, which many leaves hold;
-    otherwise an input fact or one with a value replaced, which may be in
-    no leaf."""
-    derived = sorted(outcome - facts, key=fact_key)
-    if derived and rnd.random() < 0.6:
-        return rnd.choice(derived)
-    f = rnd.choice(sorted(outcome, key=fact_key))
-    if rnd.random() < 0.5:
-        return f
-    args = list(f.args)
-    args[rnd.randrange(len(args))] = rnd.choice(_VALUES)
-    return Fact(f.relation, tuple(args))
 
 
 def test_exact_bounds_match_old_marginal_bounds(registry):

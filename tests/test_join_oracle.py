@@ -18,23 +18,14 @@ from collections import Counter
 
 from gdlog.chase import ChaseEngine
 from gdlog.distributions import RngStream
-from gdlog.model import (
-    Atom,
-    Constraint,
-    DeltaTerm,
-    Fact,
-    Program,
-    Rule,
-    Variable,
-    validate_program,
-)
+from gdlog.model import Atom, DeltaTerm, Fact, Program, Rule, Variable, validate_program
 from gdlog.ppdl import _CompiledConstraint, check_constraints
 from gdlog.translate import to_existential
 
 from conftest import load_facts, load_program
 from nested_join import match, nested_extend, reference_violations
 from old_drivers import ground
-from randprog import random_program
+from randprog import _random_constraint, random_program
 
 SEEDS = range(200)
 STEPS = 30
@@ -225,39 +216,6 @@ def test_every_binding_is_enqueued_exactly_once(registry):
             for slots in nested_extend(state, rule, [None] * rule.nvars, -1)
         )
         assert Counter(engine.enqueued) == everything
-
-
-_RELATIONS = {"E": 2, "A": 1, "B": 2, "C": 2}
-# a draw term is no constant: it must match no row and hold in no head
-_TERMS = [Variable("x"), Variable("y"), Variable("z"), 0.0, 1.0, "s"]
-_TERMS.append(DeltaTerm("Flip", (0.5,)))
-
-
-def _random_atom(rnd: random.Random, relation: str) -> Atom:
-    arity = _RELATIONS[relation]
-    if rnd.random() < 0.15:
-        arity = max(1, arity + rnd.choice((-1, 1)))  # never matches a chase row
-    return Atom(relation, tuple(rnd.choice(_TERMS) for _ in range(arity)))
-
-
-def _random_constraint(rnd: random.Random) -> Constraint:
-    body = tuple(
-        _random_atom(rnd, rnd.choice(sorted(_RELATIONS)))
-        for _ in range(rnd.randint(1, 3))
-    )
-    if rnd.random() < 0.3:
-        return Constraint(body, None)
-    body_vars = sorted(
-        {v.name for a in body for v in a.args if isinstance(v, Variable)}
-    )
-    head = _random_atom(rnd, rnd.choice(sorted(_RELATIONS)))
-    args = tuple(
-        (Variable(rnd.choice(body_vars)) if body_vars else 1.0)
-        if isinstance(t, Variable)
-        else t
-        for t in head.args
-    )
-    return Constraint(body, Atom(head.relation, args))
 
 
 def _items(binding: dict) -> frozenset:

@@ -10,6 +10,11 @@ residual masses are exact sums), so no transformation may move a bit. A
 transformation that does is a finding about the engine, not a tolerance to
 add here.
 
+The same programs, each given random constraints and a query, must
+keep the exact posterior bounds on that query, bit for bit, or fail with
+the same error: constraints are checked on leaves, so they change neither
+the tree nor whether it is fully explored.
+
 Relations are not renamed: a new name moves a relation's draws in the
 ledger's sort order, so the product would be taken in another order and
 may round differently.
@@ -23,13 +28,18 @@ cost most of the suite's time for no comparison.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
+from gdlog import ppdl
+from gdlog.chase import ChaseEngine
+from gdlog.distributions import RngStream
 from gdlog.enumeration import EnumerationPolicy, enumerate_outcomes
-from gdlog.model import Atom, DeltaTerm, Program, Rule, Variable, validate_program
+from gdlog.model import Atom, DeltaTerm, GdlogError, Program, Rule, Variable, validate_program
+from gdlog.translate import to_existential
 
-from randprog import random_program
+from randprog import _constrained, _query, random_program
 from test_enumeration import dist_as_json
 
 SEEDS = range(400)
@@ -131,3 +141,47 @@ def test_transformation_leaves_the_distribution_bit_identical(explored, name):
         changed = _transformed(program, transform(rnd, program.rules))
         got = dist_as_json(enumerate_outcomes(changed, facts, POLICY))
         assert got == expected, (name, seed)
+
+
+def _bounds(program: Program, facts, query):
+    """``_exact_bounds`` as its repr, which pins every bit, or its error."""
+    try:
+        return repr(ppdl._exact_bounds(program, facts, query, POLICY))
+    except GdlogError as e:
+        return type(e), str(e)
+
+
+@pytest.fixture(scope="module")
+def conditioned(explored):
+    """(seed, constrained program, facts, query, bounds or error) of every
+    fully explored program, with what conditioning did to its prior."""
+    out, kinds = [], Counter()
+    for seed, program, facts, _ in explored:
+        rnd = random.Random(seed)
+        program = _constrained(rnd, program)
+        engine = ChaseEngine(to_existential(program))
+        outcome = engine.sample(facts, RngStream(seed, 0), POLICY.node_budget).facts
+        query = _query(rnd, facts, outcome)
+        expected = _bounds(program, facts, query)
+        if isinstance(expected, tuple):
+            kinds[expected[0].__name__] += 1
+        else:
+            norm = ppdl._condition(program, facts, POLICY)[3]
+            kinds["unchanged" if norm == 1.0 else "renormalized"] += 1
+        out.append((seed, program, facts, query, expected))
+    return out, kinds
+
+
+def test_conditioning_is_compared_on_every_kind_of_result(conditioned):
+    programs, kinds = conditioned
+    assert len(programs) >= 40
+    # both leaves dropped and the rest renormalized, and every leaf dropped
+    assert min(kinds["renormalized"], kinds["IllegalInput"]) >= 5, kinds
+
+
+@pytest.mark.parametrize("name", TRANSFORMS)
+def test_transformation_leaves_the_exact_bounds_bit_identical(conditioned, name):
+    transform = TRANSFORMS[name]
+    for seed, program, facts, query, expected in conditioned[0]:
+        changed = _transformed(program, transform(random.Random(seed), program.rules))
+        assert _bounds(changed, facts, query) == expected, (name, seed)
