@@ -412,8 +412,14 @@ def test_invalid_program_exit_1(tmp_path, capsys, command):
         ),
         ((*_INFER, "--mode", "exact", "--nodes", "0"), "node_budget must be >= 1"),
     ],
-    ids=["mc-without-seed", "budget-0", "epsilon-1", "nodes-0", "support-mass-0",
-         "infer-nodes-0"],
+    ids=[
+        "mc-without-seed",
+        "budget-0",
+        "epsilon-1",
+        "nodes-0",
+        "support-mass-0",
+        "infer-nodes-0",
+    ],
 )
 def test_bad_option_value_exit_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)
