@@ -15,11 +15,11 @@ import sys
 import time
 from pathlib import Path
 
-from .analysis import build_dependency_graph, is_weakly_acyclic, to_dot
+# analysis, enumeration and ppdl are imported inside the commands that run
+# them, so that sample and translate do not load them
 from .chase import ChaseEngine
 from .distributions import DomainError, Registry, RngStream
-from .enumeration import EnumerationPolicy, _explore, _ordered
-from .model import GdlogError, validate_program
+from .model import GdlogError, IllegalInput, validate_program
 from .parser import (
     load_edb_csv,
     parse_fact_literal,
@@ -28,7 +28,6 @@ from .parser import (
     render_fact,
     render_rows,
 )
-from .ppdl import IllegalInput, _exact_bounds, estimate_posterior
 from .translate import render_existential_program, to_existential
 
 EXIT_OK = 0
@@ -59,8 +58,8 @@ def _build_arg_parser() -> argparse.ArgumentParser:
             action="append",
             default=[],
             metavar="SRC",
-            help="fact file path, or Rel=path.csv for a header-less CSV; "
-            "repeatable",
+            help="fact file path, or Rel=path.csv for a header-less CSV "
+            "when the text before the first '=' is an identifier; repeatable",
         )
 
     sp = sub.add_parser("check", help="decide weak acyclicity")
@@ -118,8 +117,8 @@ def _load_edb(args, program):
     facts = set()
     for src in args.edb:
         try:
-            if "=" in src:
-                rel, _, csv_path = src.partition("=")
+            rel, eq, csv_path = src.partition("=")
+            if eq and rel.isidentifier():
                 with open(csv_path, newline="", encoding="utf-8") as fh:
                     facts |= load_edb_csv(rel, fh, program.edb)
             else:
@@ -140,6 +139,8 @@ def _emit(payload: dict) -> None:
 
 
 def _cmd_check(args) -> int:
+    from .analysis import build_dependency_graph, is_weakly_acyclic, to_dot
+
     program = _load_program(args)
     result = is_weakly_acyclic(program)
     if args.dot:
@@ -179,6 +180,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import EnumerationPolicy, _explore, _ordered
+
     program = _load_program(args)
     input_facts = _load_edb(args, program)
     policy = EnumerationPolicy(
@@ -201,6 +204,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_infer(args) -> int:
+    from .enumeration import EnumerationPolicy
+    from .ppdl import _exact_bounds, estimate_posterior
+
     program = _load_program(args)
     input_facts = _load_edb(args, program)
     query = parse_fact_literal(args.query, {**program.edb, **program.idb})

@@ -24,6 +24,7 @@ __all__ = [
     "ValidationReport",
     "GdlogError",
     "GroundingError",
+    "IllegalInput",
     "constant_key",
     "fact_key",
     "ground_atom",
@@ -37,6 +38,10 @@ class GdlogError(Exception):
 
 class GroundingError(GdlogError):
     pass
+
+
+class IllegalInput(GdlogError):
+    """The constraint-satisfying outcome set has measure zero."""
 
 
 #: A constant is a real number (float) or an interned symbolic token (str).

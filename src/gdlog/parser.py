@@ -88,12 +88,13 @@ class ParseError(GdlogError):
 # kind is "ident", "number", "string", "punct" or "eof"
 _Token = namedtuple("_Token", "kind text value line col")
 
+_NUMBER = r"[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
 _STRING_BODY = r'(?:[^"\\\n]|\\[nt"\\])*'
 # the first alternative that matches wins; unnamed ones are skipped
 _TOKEN = re.compile(
     r"(?P<newline>\n)|[ \t\r]+|//[^\n]*"
     r"|(?P<punct>:-|=>|[()\[\],./])"
-    r"|(?P<number>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    rf"|(?P<number>{_NUMBER})"
     rf'|"(?P<string>{_STRING_BODY})"'
     r"|(?P<ident>\w+)"
     r"|(?P<error>.)"
@@ -101,6 +102,13 @@ _TOKEN = re.compile(
 _STRING_PREFIX = re.compile(_STRING_BODY)
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+
+
+def _unescape(body: str) -> str:
+    """The value of a string literal's text between its quotes."""
+    if "\\" not in body:
+        return body
+    return _ESCAPE.sub(lambda e: _ESCAPES[e[1]], body)
 
 
 def _lex_error(text: str, i: int, span: SourceSpan) -> ParseError:
@@ -133,9 +141,7 @@ def _lex(text: str, filename: str) -> list:
         if kind == "punct":
             value = None
         elif kind == "string":
-            if "\\" in lexeme:
-                lexeme = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], lexeme)
-            value = lexeme
+            value = lexeme = _unescape(lexeme)
         elif kind == "number":
             value = float(lexeme)
         elif kind == "ident" and (lexeme[0].isalpha() or lexeme[0] == "_"):
@@ -342,11 +348,63 @@ def _parse_one_fact(p: _Parser, schema: dict, what: str) -> Fact:
     return Fact(tok.text, tuple(args))
 
 
+# Spaces and comments between statements. Each character can be matched
+# one way only (a comment runs to the end of its line), so a failed match
+# backtracks in linear time; Python 3.10 has no atomic groups.
+_SKIP = r"(?:[ \t\r\n]|//[^\n]*(?![^\n]))*"
+_SPACE = r"[ \t\r\n]*"  # inside a statement: no comment
+_CONSTANT = rf'(?:{_NUMBER}|"{_STRING_BODY}")'
+_STATEMENT = re.compile(
+    rf"{_SKIP}([A-Za-z_][A-Za-z0-9_]*){_SPACE}\({_SPACE}"
+    rf"({_CONSTANT}(?:{_SPACE},{_SPACE}{_CONSTANT})*){_SPACE}\){_SPACE}\."
+)
+_ARGUMENT = re.compile(rf'({_NUMBER})|"({_STRING_BODY})"')  # number, string body
+_TAIL = re.compile(_SKIP)
+
+
+def _scan_facts(text: str, edb_schema: dict) -> Instance | None:
+    """The instance of a fact file read one statement per regex match, or
+    None where the token parser must decide.
+
+    A statement is read only when it holds no comment, its relation name
+    is ASCII, declared and free of ``__``, its arity matches and its
+    numbers are finite. Numbers and strings are read as ``_lex`` reads
+    them, so the instance equals the token parser's.
+    """
+    facts = set()
+    pos = 0
+    while m := _STATEMENT.match(text, pos):
+        name, args = m.groups()
+        row = []
+        # args holds constants, spaces and commas only: no comment, so
+        # every constant found is one of the statement's
+        for number, string in _ARGUMENT.findall(args):
+            if number:
+                value = float(number)
+                if not math.isfinite(value):
+                    return None
+                row.append(value)
+            else:
+                row.append(_unescape(string))
+        if "__" in name or edb_schema.get(name) != len(row):
+            return None
+        facts.add(Fact(name, tuple(row)))
+        pos = m.end()
+    if _TAIL.fullmatch(text, pos) is None:
+        return None
+    return frozenset(facts)
+
+
 def parse_facts(text: str, edb_schema: dict, filename: str = "<string>") -> Instance:
     """Parse ``Rel(c1, ..., cn).`` statements into an instance.
 
-    Only EDB relations are allowed; duplicates collapse.
+    Only EDB relations are allowed; duplicates collapse. A text the
+    scanner is not sure of is read by the token parser, which reports the
+    first error.
     """
+    facts = _scan_facts(text, edb_schema)
+    if facts is not None:
+        return facts
     p = _Parser(text, filename)
     facts = set()
     while p.peek().kind != "eof":
@@ -375,7 +433,8 @@ def load_edb_csv(relation: str, rows, edb_schema: dict) -> Instance:
 
     ``rows`` is a text stream or a string. Numeric-looking cells parse
     as numbers, everything else as symbols; a NaN or infinite cell is
-    an error.
+    an error. A cell holding ``_`` is a symbol, since no number of the
+    fact-file syntax holds one.
     """
     if relation not in edb_schema:
         raise ParseError(
@@ -397,6 +456,9 @@ def load_edb_csv(relation: str, rows, edb_schema: dict) -> Instance:
         args = []
         for cell in row:
             cell = cell.strip()
+            if "_" in cell:  # float() would read 1_000 as 1000.0
+                args.append(cell)
+                continue
             try:
                 value = float(cell)
             except ValueError:

@@ -32,7 +32,7 @@ from .enumeration import (
     _distribution,
     _explore,
 )
-from .model import DeltaTerm, Fact, GdlogError, Program, constant_key
+from .model import DeltaTerm, Fact, GdlogError, IllegalInput, Program, constant_key
 from .parser import render_fact
 from .translate import to_existential
 
@@ -54,10 +54,6 @@ LEGALITY_THRESHOLD = 1e-12
 #: also where a path never ends (``corpus/doubling.gdl``).
 _CACHE_ROWS = 100_000
 _EXHAUSTED, _REJECTED, _ACCEPTED, _HIT = range(4)  # the classes of a leaf
-
-
-class IllegalInput(GdlogError):
-    """The constraint-satisfying outcome set has measure zero."""
 
 
 class UndeterminedLegality(IllegalInput):

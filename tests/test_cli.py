@@ -426,6 +426,19 @@ def test_bad_option_value_exit_1(capsys, argv, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def test_edb_path_with_equals_sign(tmp_path, capsys):
+    # the text before the first '=' is no identifier: a fact file
+    facts = tmp_path / "eq" / "d=1" / "b.facts"
+    facts.parent.mkdir(parents=True)
+    facts.write_bytes((CORPUS / "burglar.facts").read_bytes())
+    code, out, err = run(
+        capsys, "sample", CORPUS / "burglar.gdl", "--edb", facts, "--seed", 7
+    )
+    assert (code, err) == (0, "")
+    golden = Path(__file__).resolve().parent / "golden" / "sample_burglar.out"
+    assert out.encode() == golden.read_bytes()
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/nowhere.gdl")
     assert code == 1
@@ -460,6 +473,7 @@ def test_output_identical_across_processes(capsys):
                 "PYTHONHASHSEED": hashseed,
                 "PATH": "/usr/bin:/bin",
                 "PYTHONPATH": import_root,
+                "PYTHONDONTWRITEBYTECODE": "1",  # no __pycache__ in the checkout
             },
         )
         assert proc.returncode == 0, proc.stderr
@@ -478,7 +492,8 @@ def test_output_identical_across_processes(capsys):
 
 
 def test_runs_without_numpy():
-    # the standard library is the only runtime dependency
+    # the standard library is the only runtime dependency, and the
+    # command line loads no module that only check, enumerate or infer run
     import subprocess
     import sys
     from pathlib import Path
@@ -489,6 +504,7 @@ def test_runs_without_numpy():
     env = {
         "PATH": "/usr/bin:/bin",
         "PYTHONPATH": str(Path(gdlog.__file__).resolve().parents[1]),
+        "PYTHONDONTWRITEBYTECODE": "1",  # no __pycache__ in the checkout
     }
     # a None entry makes any ``import numpy`` fail
     child = (
@@ -509,7 +525,8 @@ def test_runs_without_numpy():
 
     loaded = (
         "import sys, gdlog.cli\n"
-        "print([m for m in sys.modules if m.split('.')[0] == 'numpy'])\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'numpy'\n"
+        "       or m in ('gdlog.analysis', 'gdlog.enumeration', 'gdlog.ppdl')])\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", loaded], capture_output=True, text=True, env=env

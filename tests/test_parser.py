@@ -207,6 +207,17 @@ def test_load_edb_csv_numeric_cells(burglar):
     assert Fact("City", ("Napa", 0.03)) in inst
 
 
+def test_load_edb_csv_underscore_cells_are_symbols(burglar):
+    # float() accepts 1_000; the fact-file syntax has no such number
+    rows = io.StringIO("Napa,1_000\nYucaipa,.5\nX,_1\n")
+    inst = load_edb_csv("City", rows, burglar.edb)
+    assert inst == {
+        Fact("City", ("Napa", "1_000")),
+        Fact("City", ("Yucaipa", 0.5)),
+        Fact("City", ("X", "_1")),
+    }
+
+
 @pytest.mark.parametrize("cell", ["nan", "NaN", " -nan "])
 def test_load_edb_csv_rejects_nan(burglar, cell):
     with pytest.raises(ParseError, match=r"<csv:City>:2:1: row 2: .* \(NaN\)"):
