@@ -455,10 +455,7 @@ class ChaseEngine:
         c.head_key = _grounder(c.head_args)
         c.body_rows = tuple(_grounder(args) for _, args in c.body)
         c.matchers = tuple(_matcher(args, c.nvars) for _, args in c.body)
-        names = [None] * len(slot_of)
-        for name, slot in slot_of.items():
-            names[slot] = name
-        c.var_names = tuple(names)
+        c.var_names = tuple(slot_of)  # slots are numbered in insertion order
         return c
 
     # -- joins ------------------------------------------------------------
@@ -470,12 +467,9 @@ class ChaseEngine:
 
     # -- frontier ---------------------------------------------------------
 
-    def _rule_order(self, idx: int) -> int:
-        return -idx if self.order == REVERSED_RULES else idx
-
     def _pend_key(self, item) -> tuple:
         idx, slots = item
-        return (self._rule_order(idx), _row_key(slots))
+        return (-idx if self.order == REVERSED_RULES else idx, _row_key(slots))
 
     def _enqueue_batch(self, state: ChaseState, batch: list) -> None:
         if len(batch) > 1:
@@ -483,13 +477,15 @@ class ChaseEngine:
             batch = _sorted_canonical(batch, self._pend_key, plain)
         state.pending.extend(batch)
 
+    def _bindings(self, state: ChaseState):
+        """(rule, slots) for every full-body binding of every rule, by rule."""
+        for rule in self.rules:
+            for slots in self._extend(state, rule, [None] * rule.nvars, -1):
+                yield rule, slots
+
     def _seed_frontier(self, state: ChaseState) -> None:
-        batch = [
-            (rule.index, slots)
-            for rule in self.rules
-            for slots in self._extend(state, rule, [None] * rule.nvars, -1)
-        ]
-        self._enqueue_batch(state, batch)
+        # the state holds only EDB rows, so no head holds yet
+        self._enqueue_batch(state, [(r.index, s) for r, s in self._bindings(state)])
 
     def _discover(self, state: ChaseState, rel: str, row: tuple) -> None:
         batch = []
@@ -580,7 +576,9 @@ class ChaseEngine:
         """Fire a rule instance, drawing ``choice`` or else from ``rng``;
         returns the added (relation, row). A ``pmf`` given with ``choice``
         comes from ``draw``, ``enumerate_support`` or ``forced_mass``, which
-        checked the parameters, and is taken as is."""
+        checked the parameters, and is taken as is. Otherwise the firing's
+        parameters are checked before ``choice`` is weighed through ``mass``,
+        and an invalid parameter or a value of no mass raises DomainError."""
         rel = rule.head_rel
         row = key = rule.head_key(slots)
         if rule.distrel is not None:
@@ -591,9 +589,8 @@ class ChaseEngine:
             if pmf is not None:
                 value, weight = choice, pmf
             elif choice is not None:
-                symbol = isinstance(choice, str)  # outside every numeric support
-                value = choice if symbol else float(choice)
-                weight = 0.0 if symbol else spec._pmf(value, params)
+                value = choice if isinstance(choice, str) else float(choice)
+                weight = spec.mass(value, params)
                 if weight <= 0.0:
                     raise DomainError(
                         f"{self._firing_context(rule, slots)}: value {value} "
@@ -709,15 +706,16 @@ class ChaseEngine:
         """Chase ``input_facts`` with every choice forced by ``target``.
 
         The run has no rng, so it returns each distributional firing, which
-        is then weighed once and drawn here with the value that the
-        target's functional dependency fixes for its key. A firing whose
-        head is not in the target is rejected if ``strict`` (replay: the
-        target must be an outcome), else dropped (cylinder: the target need
-        only be a chase prefix). Facts only grow and every applied firing
-        adds a target fact, so dropping cannot lose a firing that would
-        later fit. Returns the canonical mass of the reached state, or a
-        Rejection naming the first problem, including a target fact left
-        underived.
+        is drawn here with the value that the target's functional dependency
+        fixes for its key. Its parameters are checked first, so an invalid
+        one raises DomainError whatever the value, and the value is weighed
+        once, through ``mass``. A firing whose head is not in the target is
+        rejected if ``strict`` (replay: the target must be an outcome), else
+        dropped (cylinder: the target need only be a chase prefix). Facts
+        only grow and every applied firing adds a target fact, so dropping
+        cannot lose a firing that would later fit. Returns the canonical
+        mass of the reached state, or a Rejection naming the first problem,
+        including a target fact left underived.
         """
         target_rows: dict = {}
         for f in target:
@@ -756,11 +754,7 @@ class ChaseEngine:
                     )
                 continue  # the run popped the firing: it is dropped
             value = keyed[rel][key]
-            # a symbol has no mass: rejected before the parameters are checked
-            pmf = 0.0
-            if not isinstance(value, str):
-                params = self.checked_params(rule, slots, key)
-                pmf = rule.spec._pmf(float(value), params)
+            pmf = rule.spec.mass(value, self.checked_params(rule, slots, key))
             if pmf <= 0.0:
                 return Rejection(f"zero-weight choice {value} on {rel} at {key}")
             self.apply(state, rule, slots, float(value), pmf=pmf)
@@ -777,11 +771,7 @@ class ChaseEngine:
     # -- public firing interface -------------------------------------------
 
     def applicable_raw(self, state: ChaseState):
-        out = []
-        for rule in self.rules:
-            for slots in self._extend(state, rule, [None] * rule.nvars, -1):
-                if not self.head_satisfied(state, rule, slots):
-                    out.append((rule, slots))
+        out = [b for b in self._bindings(state) if not self.head_satisfied(state, *b)]
         out.sort(key=lambda rs: (rs[0].index, _row_key(rs[1])))
         return out
 

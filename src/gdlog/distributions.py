@@ -137,7 +137,10 @@ class DistributionSpec:
 
     def pmf(self, value: float, params) -> float:
         """Probability mass at ``value``; 0 outside the support, as for a symbol."""
-        params = self.check_params(params)
+        return self.mass(value, self.check_params(params))
+
+    def mass(self, value, params: tuple) -> float:
+        """``pmf`` at ``value``; ``params`` must come from ``check_params``."""
         return 0.0 if isinstance(value, str) else self._pmf(float(value), params)
 
     def sample(self, params, rng: RngStream) -> float:

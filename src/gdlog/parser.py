@@ -538,9 +538,7 @@ def render_program(program: Program) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_fact(f: Fact) -> str:
-    inner = ", ".join(format_constant(a) for a in f.args)
-    return f"{f.relation}({inner})"
+render_fact = render_atom  # a Fact's arguments are constants, rendered alike
 
 
 def render_rows(rows_by_rel) -> list:

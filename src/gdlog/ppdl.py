@@ -32,7 +32,7 @@ from .enumeration import (
     _distribution,
     _explore,
 )
-from .model import DeltaTerm, Fact, GdlogError, IllegalInput, Program, constant_key
+from .model import Fact, GdlogError, IllegalInput, Program, constant_key
 from .parser import render_fact
 from .translate import to_existential
 
@@ -61,10 +61,6 @@ class UndeterminedLegality(IllegalInput):
     remains, so legality cannot be decided at this exploration depth."""
 
 
-def _has_draw(atom) -> bool:
-    return any(isinstance(t, DeltaTerm) for t in atom.args)
-
-
 class _CompiledConstraint:
     """A constraint body compiled to a join plan; the head is ground from
     the same slots.
@@ -77,24 +73,25 @@ class _CompiledConstraint:
     __slots__ = ("plan", "nvars", "var_names", "head")
 
     def __init__(self, c, schema: dict | None = None):
-        def key(atom):
+        def key(atom):  # None for an atom that matches no row
+            if any(atom.delta_terms()):
+                return None  # a draw term equals no constant
             if schema is None:
                 return (atom.relation, len(atom.args))
             if schema.get(atom.relation) == len(atom.args):
                 return atom.relation
             return None
 
-        # a draw term equals no constant, and an unmatchable atom holds no
-        # row: a body with either never matches, a head never holds
+        # a body with such an atom never matches, such a head never holds
         self.plan = self.head = None
-        if any(_has_draw(a) or key(a) is None for a in c.body):
+        if any(key(a) is None for a in c.body):
             return
         slot_of: dict = {}
         body = tuple((key(a), _compile_atom_args(a.args, slot_of)) for a in c.body)
         self.plan = join_plan(body, -1)
         self.nvars = len(slot_of)
         self.var_names = tuple(slot_of)
-        if c.head is not None and not _has_draw(c.head) and key(c.head) is not None:
+        if c.head is not None and key(c.head) is not None:
             args = _compile_atom_args(c.head.args, slot_of)
             self.head = (key(c.head), _grounder(args))
 

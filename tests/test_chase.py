@@ -10,6 +10,7 @@ from gdlog.chase import (
     BUDGET_EXHAUSTED,
     LEAF,
     ChaseEngine,
+    Outcome,
     Rejection,
     applicable_firings,
     chase_step,
@@ -17,6 +18,7 @@ from gdlog.chase import (
     sample_outcome,
 )
 from gdlog.distributions import DomainError, RngStream
+from gdlog.enumeration import cylinder_mass
 from gdlog.model import Fact, GdlogError
 from gdlog.translate import to_existential
 
@@ -455,6 +457,48 @@ def test_replay_bad_parameter_is_domain_error(registry):
     drawn = {_fact("R__Flip__2", "a", 1, 1.5), _fact("R", "a", 1)}
     with pytest.raises(DomainError, match=r"rule 0 \[.*q=1.5.*\]: Flip"):
         replay_weight(p, edb, edb | drawn)
+
+
+def _flip_of_parameter(registry, q):
+    from gdlog.parser import parse_facts, parse_program
+
+    p = parse_program("edb S/2.\nidb R/2.\nR(x, Flip[q]) :- S(x, q).\n", registry)
+    return p, parse_facts(f'S("a", {q}).', p.edb)
+
+
+@pytest.mark.parametrize("value", [1, "s"])
+def test_bad_parameter_is_domain_error_whatever_the_value(registry, value):
+    # replay, cylinder and chase_step all check the parameters before they
+    # weigh the value, so a symbol does not turn the error into a Rejection
+    p, edb = _flip_of_parameter(registry, 1.5)
+    drawn = {_fact("R__Flip__2", "a", value, 1.5), _fact("R", "a", value)}
+    firing = r"rule 0 \[x='a', q=1\.5\]"
+    for forced in (replay_weight, cylinder_mass):
+        with pytest.raises(DomainError, match=firing):
+            forced(p, edb, edb | drawn)
+    engine = ChaseEngine(to_existential(p))
+    state = engine.initial_state(edb)
+    (draw,) = applicable_firings(state, engine)
+    with pytest.raises(DomainError, match=firing):
+        chase_step(state, draw, engine, choice=value)
+
+
+def test_forced_chase_rejects_unresolved_obligation_and_short_row(registry):
+    p, edb = _flip_of_parameter(registry, 0.5)
+    assert replay_weight(p, edb, edb) == Rejection(
+        "missing forced fact: unresolved obligation on R__Flip__2 at ('a', 0.5)"
+    )
+    short = edb | {_fact("R__Flip__2", "a", 1)}
+    arity = Rejection("fact of R__Flip__2 has arity 2, expected 3")
+    assert replay_weight(p, edb, short) == arity
+    assert cylinder_mass(p, edb, short) == arity
+
+
+def test_rejection_is_falsy_and_probability_is_exp_of_log(burglar, burglar_edb):
+    assert bool(Rejection("any reason")) is False
+    o = sample_outcome(burglar, burglar_edb, seed=7)
+    assert isinstance(o, Outcome) and 0.0 < o.probability < 1.0
+    assert o.probability == math.exp(o.log_probability)
 
 
 def test_replay_weighs_each_forced_draw_once(burglar, burglar_edb, monkeypatch):

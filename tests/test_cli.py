@@ -393,6 +393,14 @@ def test_invalid_program_exit_1(tmp_path, capsys, command):
     assert err == f"error: {prog}: invalid program: rule 0: head relation 'S' is not IDB\n"
 
 
+def test_draw_in_body_atom_exit_1(tmp_path, capsys):
+    prog = tmp_path / "body_draw.gdl"
+    prog.write_text("edb S/1.\nidb R/1.\nR(x) :- S(x), S(Flip[0.5]).\n")
+    code, out, err = run(capsys, "check", prog)
+    assert (code, out) == (1, "")
+    assert err == f"error: {prog}: invalid program: rule 0: Δ-term in body atom 'S'\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

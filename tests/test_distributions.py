@@ -207,6 +207,17 @@ def test_negative_seed_or_stream_index_rejected():
             RngStream(seed, index)
 
 
+def test_draw_clamps_to_the_last_value_of_positive_mass(reg):
+    # a uniform past the summed mass, which rounding leaves below 1, falls
+    # on the last value whose pmf is still positive
+    class Top:
+        def uniform(self):
+            return 1.0 - 2.0**-53
+
+    assert reg.get("Poisson").draw((1.0,), Top()) == (177.0, 1e-323)
+    assert reg.get("Flip").draw((0.5,), Top()) == (0.0, 0.5)
+
+
 def test_degenerate_flip_sample(reg):
     rng = RngStream(5)
     assert all(reg.get("Flip").sample([1.0], rng) == 1.0 for _ in range(20))

@@ -114,6 +114,30 @@ def test_validate_unknown_distribution(registry):
     assert "unknown distribution 'Zeta'" in report.diagnostics[0].reason
 
 
+def test_validate_draw_in_body_atom(registry):
+    rule = Rule(
+        Atom("T", (v("x"),)),
+        (Atom("E", (v("x"),)), Atom("E", (DeltaTerm("Flip", (0.5,)),))),
+    )
+    report = validate_program(_program([rule], registry=registry))
+    assert [str(d) for d in report.diagnostics] == ["rule 0: Δ-term in body atom 'E'"]
+
+
+def test_validate_parameter_count(registry):
+    rule = Rule(
+        Atom("R", (v("x"), DeltaTerm("Flip", (0.5, 0.5)))), (Atom("E", (v("x"),)),)
+    )
+    report = validate_program(_program([rule], registry=registry))
+    assert [d.reason for d in report.diagnostics] == [
+        "distribution 'Flip' expects 1 parameters, got 2"
+    ]
+
+
+def test_validate_empty_constraint_body(registry):
+    report = validate_program(_program([], [Constraint((), None)], registry=registry))
+    assert [str(d) for d in report.diagnostics] == ["constraint 0: empty body"]
+
+
 def test_validate_constraint_head_safety(registry):
     c = Constraint((Atom("E", (v("x"),)),), Atom("R", (v("x"), v("z"))))
     report = validate_program(_program([], [c], registry=registry))

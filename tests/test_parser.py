@@ -240,6 +240,19 @@ def test_load_edb_csv_column_mismatch(burglar):
         load_edb_csv("House", io.StringIO("NP1,Napa,extra\n"), burglar.edb)
 
 
+def test_load_edb_csv_string_skips_blank_lines(burglar):
+    # a str is read as the text of the file; its row numbers count blank lines
+    inst = load_edb_csv("House", "\nNP1,Napa\n\nYU1,Yucaipa\n", burglar.edb)
+    assert inst == {Fact("House", ("NP1", "Napa")), Fact("House", ("YU1", "Yucaipa"))}
+    with pytest.raises(ParseError, match="<csv:House>:3:1: row 3: expected 2 columns"):
+        load_edb_csv("House", "\n\nNP1\n", burglar.edb)
+
+
+def test_load_edb_csv_rejects_a_relation_that_is_not_edb(burglar):
+    with pytest.raises(ParseError, match="<csv:Unit>:1:1: 'Unit' is not an EDB relation"):
+        load_edb_csv("Unit", "NP1,Napa\n", burglar.edb)
+
+
 # relations named like the keywords, each used where a keyword could stand
 KEYWORD_RELATIONS = """\
 idb edb/1.

@@ -187,6 +187,11 @@ def test_estimate_always_false_constraints(registry, burglar_edb):
     assert est.samples_total == 200
 
 
+def test_estimate_needs_a_sample(burglar, burglar_edb):
+    with pytest.raises(GdlogError, match="sample count must be >= 1"):
+        estimate_posterior(burglar, burglar_edb, ALARM_QUERY, n=0, seed=1)
+
+
 def test_estimate_counts_budget_exhaustion(registry):
     escape = load_program("doubling_escape.gdl", registry)
     q = load_facts("escape.facts", escape)

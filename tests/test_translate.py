@@ -8,6 +8,7 @@ from gdlog.translate import (
     EXISTENTIAL,
     PROJECTION,
     DistRelation,
+    _fresh_var,
     dist_relation_for,
     render_existential_program,
     to_existential,
@@ -119,6 +120,16 @@ def test_existential_var_avoids_collision(registry):
     )
     ghat = to_existential(p)
     assert ghat.rules[0].exist_var == "y0"
+
+
+def test_existential_var_skips_taken_numbered_names(registry):
+    from gdlog.parser import parse_program
+
+    p = parse_program(
+        "edb S/3.\nidb R/3.\nR(y, y0, Flip[0.5]) :- S(y, y0, x).\n", registry
+    )
+    assert _fresh_var(p.rules[0]) == "y1"
+    assert to_existential(p).rules[0].exist_var == "y1"
 
 
 def test_invalid_program_rejected(registry):
