@@ -705,17 +705,17 @@ class ChaseEngine:
     def forced_mass(self, input_facts, target: frozenset, strict: bool):
         """Chase ``input_facts`` with every choice forced by ``target``.
 
-        The run has no rng, so it returns each distributional firing, which
-        is drawn here with the value that the target's functional dependency
-        fixes for its key. Its parameters are checked first, so an invalid
-        one raises DomainError whatever the value, and the value is weighed
-        once, through ``mass``. A firing whose head is not in the target is
-        rejected if ``strict`` (replay: the target must be an outcome), else
-        dropped (cylinder: the target need only be a chase prefix). Facts
-        only grow and every applied firing adds a target fact, so dropping
-        cannot lose a firing that would later fit. Returns the canonical
-        mass of the reached state, or a Rejection naming the first problem,
-        including a target fact left underived.
+        The run has no rng, so it returns each distributional firing. Its
+        parameters are checked first, so an invalid one raises DomainError
+        as in every other chase, even for a firing then dropped or rejected;
+        a firing whose value the target's functional dependency fixes is
+        drawn with it, weighed once through ``mass``. A firing whose head is
+        not in the target is rejected if ``strict`` (replay: the target must
+        be an outcome), else dropped (cylinder: the target need only be a
+        chase prefix). Facts only grow and every applied firing adds a
+        target fact, so dropping cannot lose a firing that would later fit.
+        Returns the canonical mass of the reached state, or a Rejection
+        naming the first problem, including a target fact left underived.
         """
         target_rows: dict = {}
         for f in target:
@@ -747,6 +747,7 @@ class ChaseEngine:
         while isinstance(stop := self.run(state, None, budget, choose), tuple):
             rule, slots = stop
             rel, key = rule.head_rel, rule.head_key(slots)
+            params = self.checked_params(rule, slots, key)
             if key not in keyed[rel]:
                 if strict:
                     return Rejection(
@@ -754,7 +755,7 @@ class ChaseEngine:
                     )
                 continue  # the run popped the firing: it is dropped
             value = keyed[rel][key]
-            pmf = rule.spec.mass(value, self.checked_params(rule, slots, key))
+            pmf = rule.spec.mass(value, params)
             if pmf <= 0.0:
                 return Rejection(f"zero-weight choice {value} on {rel} at {key}")
             self.apply(state, rule, slots, float(value), pmf=pmf)

@@ -214,16 +214,17 @@ class ValidationReport:
         return "; ".join(str(d) for d in self.diagnostics)
 
 
-def _check_atom(program: Program, atom: Atom) -> str | None:
-    arity = program.arity_of(atom.relation)
-    if arity is None:
-        return f"undeclared relation '{atom.relation}'"
-    if arity != atom.arity:
-        return (
-            f"relation '{atom.relation}' declared with arity {arity}, "
-            f"used with {atom.arity}"
-        )
+def _arity_problem(relation: str, declared: int | None, used: int) -> str | None:
+    """Why ``used`` arguments misfit ``relation`` of arity ``declared``, or None."""
+    if declared is None:
+        return f"undeclared relation '{relation}'"
+    if declared != used:
+        return f"relation '{relation}' declared with arity {declared}, used with {used}"
     return None
+
+
+def _check_atom(program: Program, atom: Atom) -> str | None:
+    return _arity_problem(atom.relation, program.arity_of(atom.relation), atom.arity)
 
 
 def _first_rule_problem(program: Program, rule: Rule) -> str | None:

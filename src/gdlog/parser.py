@@ -42,6 +42,7 @@ from .model import (
     Program,
     Rule,
     Variable,
+    _arity_problem,
     _row_key,
     _sorted_canonical,
 )
@@ -237,15 +238,9 @@ class _Parser:
 
 
 def _check_relation(p: _Parser, tok: _Token, arity: int, schema: dict):
-    name = tok.text
-    if name not in schema:
-        raise p.error(tok, f"undeclared relation '{name}'")
-    if schema[name] != arity:
-        raise p.error(
-            tok,
-            f"relation '{name}' declared with arity {schema[name]}, "
-            f"used with {arity}",
-        )
+    problem = _arity_problem(tok.text, schema.get(tok.text), arity)
+    if problem:
+        raise p.error(tok, problem)
 
 
 def _parse_term(p: _Parser, dists, param: bool = False):

@@ -106,12 +106,16 @@ class _CompiledConstraint:
         rel, ground = self.head
         return ground(slots) in source.facts.get(rel, ())
 
+    def violations(self, source: ChaseState) -> list:
+        """The body bindings on ``source`` whose head does not hold."""
+        return [s for s in self.bindings(source) if not self.head_holds(source, s)]
+
 
 def _satisfies_all(compiled, source: ChaseState) -> bool:
+    # a loop, not any() over a generator: this runs on every leaf
     for c in compiled:
-        for slots in c.bindings(source):
-            if not c.head_holds(source, slots):
-                return False
+        if c.violations(source):
+            return False
     return True
 
 
@@ -139,11 +143,7 @@ def check_constraints(outcome_facts, constraints) -> ConstraintReport:
         source.facts.setdefault((f.relation, len(f.args)), set()).add(f.args)
     violations = []
     for i, c in enumerate(map(_CompiledConstraint, constraints)):
-        bad = [
-            dict(zip(c.var_names, slots))
-            for slots in c.bindings(source)
-            if not c.head_holds(source, slots)
-        ]
+        bad = [dict(zip(c.var_names, slots)) for slots in c.violations(source)]
         bad.sort(key=lambda b: sorted((k, constant_key(v)) for k, v in b.items()))
         violations.extend((i, b) for b in bad)
     return ConstraintReport(not violations, tuple(violations))

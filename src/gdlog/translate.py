@@ -158,18 +158,11 @@ def to_existential(g: Program) -> ExistentialProgram:
     if not report.ok:
         raise GdlogError(f"invalid program: {report}")
 
-    seen_rules = set()
-    originals = []
-    for r in g.rules:
-        if r not in seen_rules:
-            seen_rules.add(r)
-            originals.append(r)
-
     dist_relations: list = []
     by_name: dict = {}
     rules: list = []
 
-    for r in originals:
+    for r in dict.fromkeys(g.rules):
         dr = dist_relation_for(r, g.dists)
         if dr is None:
             rules.append(ExistentialRule(COPIED, r.head, r.body))

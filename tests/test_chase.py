@@ -336,6 +336,56 @@ def test_invariant_check_catches_a_wrong_draw_ledger(burglar, burglar_edb):
         engine.run(state, rng, 10**6)
 
 
+def _break_fd(state):
+    state.facts["Earthquake__Flip__2"].add(("Napa", 1.0, 0.01))
+
+
+def _break_obligations(state):
+    state.obls["Earthquake__Flip__2"][("Napa", 0.01)] = 1.0
+
+
+def _break_join_index(state):
+    _, buckets = state.index["City"][(0,)]  # City is EDB: no step rebuilds it
+    buckets.popitem()
+
+
+@pytest.mark.parametrize(
+    "tamper,message",
+    [
+        (_break_fd, "functional dependency violated on Earthquake__Flip__2"),
+        (_break_obligations, "obligation index out of sync for Earthquake__Flip__2"),
+        (_break_join_index, r"join index on City at \(0,\) out of sync"),
+    ],
+)
+def test_invariant_check_catches_a_tampered_state(burglar, burglar_edb, tamper, message):
+    engine = ChaseEngine(to_existential(burglar), check_invariants=True)
+    state = engine.initial_state(burglar_edb)
+    rng = RngStream(0, 0)
+    assert engine.run(state, rng, 3) == BUDGET_EXHAUSTED
+    # Napa drew 0, so each tampering below contradicts the state
+    assert state.obls["Earthquake__Flip__2"][("Napa", 0.01)] == 0.0
+    tamper(state)
+    with pytest.raises(AssertionError, match=message):
+        engine.run(state, rng, 10**6)
+
+
+def test_engine_rejects_a_draw_in_a_body_and_an_unknown_distribution(burglar):
+    from dataclasses import replace
+
+    from gdlog.distributions import Registry
+    from gdlog.model import Atom, DeltaTerm, Variable
+    from gdlog.translate import COPIED, ExistentialProgram, ExistentialRule
+
+    body = (Atom("S", (DeltaTerm("Flip", (0.5,)),)),)
+    rule = ExistentialRule(COPIED, Atom("R", (Variable("x"),)), body)
+    ghat = ExistentialProgram({"S": 1}, {"R": 1}, [], [rule], [], Registry.standard())
+    with pytest.raises(GdlogError, match="draw term in a translated rule body"):
+        ChaseEngine(ghat)
+    bare = replace(to_existential(burglar), dists=Registry())
+    with pytest.raises(GdlogError, match="unknown distribution 'Flip'"):
+        ChaseEngine(bare)
+
+
 def test_run_without_rng_returns_the_drawn_firing_unapplied(burglar, burglar_edb):
     engine = ChaseEngine(to_existential(burglar))
     state = engine.initial_state(burglar_edb)
@@ -492,6 +542,17 @@ def test_forced_chase_rejects_unresolved_obligation_and_short_row(registry):
     arity = Rejection("fact of R__Flip__2 has arity 2, expected 3")
     assert replay_weight(p, edb, short) == arity
     assert cylinder_mass(p, edb, short) == arity
+
+
+@pytest.mark.parametrize("forced", [replay_weight, cylinder_mass])
+def test_forced_chase_checks_the_parameters_of_a_firing_it_does_not_draw(
+    registry, forced
+):
+    # the target holds no value for the firing: replay would reject it and
+    # cylinder drop it, but its invalid parameter is reported first
+    p, edb = _flip_of_parameter(registry, 1.5)
+    with pytest.raises(DomainError, match=r"rule 0 \[x='a', q=1\.5\]"):
+        forced(p, edb, edb)
 
 
 def test_rejection_is_falsy_and_probability_is_exp_of_log(burglar, burglar_edb):

@@ -87,6 +87,13 @@ def test_parameter_domains(reg):
         reg.get("Flip").pmf(1, [0.3, 0.4])
 
 
+def test_registry_membership_and_finite_parameters(reg):
+    assert "Flip" in Registry.standard()
+    assert "Dbl" not in Registry.standard()
+    with pytest.raises(DomainError, match=r"^Dbl: parameters must be finite, got \[inf\]$"):
+        reg.get("Dbl").pmf(1, [math.inf])
+
+
 # -- enumerate_support --------------------------------------------------------
 
 
@@ -159,6 +166,29 @@ def test_registry_rejects_duplicate_names():
     with pytest.raises(GdlogError, match="already registered"):
         reg.register(reg.get("Flip"))
     assert reg.names() == ["Flip", "Geo", "Poisson"]
+
+
+def test_custom_spec_without_mass_and_with_a_gap():
+    # a zero after positive mass ends the support walk, even short of the
+    # mass target; a support with no positive mass cannot be drawn from
+    from gdlog.distributions import DistributionSpec
+
+    def spec(name, masses):
+        return DistributionSpec(
+            name,
+            0,
+            True,
+            lambda x, params: masses.get(x, 0.0),
+            lambda params: iter(masses),
+            lambda params: None,
+        )
+
+    reg = Registry()
+    reg.register(spec("Gap", {0.0: 0.0, 1.0: 0.5, 2.0: 0.0, 3.0: 0.5}))
+    reg.register(spec("Void", {0.0: 0.0, 1.0: 0.0}))
+    assert reg.get("Gap").enumerate_support((), 1.0) == [(1.0, 0.5)]
+    with pytest.raises(DomainError, match=r"^Void: empty support for params \(\)$"):
+        reg.get("Void").draw((), RngStream(0))
 
 
 # -- sampling -----------------------------------------------------------------

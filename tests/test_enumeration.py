@@ -64,6 +64,10 @@ def test_burglar_contains_worked_outcome(burglar_dist, burglar, burglar_edb):
     assert p == pytest.approx(replay_weight(burglar, burglar_edb, facts), rel=1e-12)
 
 
+def test_probability_of_an_outcome_that_is_no_leaf(burglar_dist, burglar_edb):
+    assert burglar_dist.probability_of(frozenset(burglar_edb)) is None
+
+
 def test_outcome_fact_sets_are_distinct(burglar_dist):
     seen = {o.facts for o, _ in burglar_dist.entries}
     assert len(seen) == len(burglar_dist.entries)

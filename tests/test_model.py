@@ -57,6 +57,12 @@ def test_ground_atom_unbound_variable():
         ground_atom(atom, {"c": "Napa"})
 
 
+def test_ground_atom_draw_term():
+    atom = Atom("R", (v("x"), DeltaTerm("Flip", (0.5,))))
+    with pytest.raises(GroundingError, match="cannot ground a distributional term"):
+        ground_atom(atom, {"x": "a"})
+
+
 def _program(rules, constraints=(), registry=None):
     return Program(
         edb={"S": 2, "E": 1},
@@ -104,6 +110,16 @@ def test_validate_arity_mismatch(registry):
     rule = Rule(Atom("T", (v("x"),)), (Atom("S", (v("x"),)),))
     report = validate_program(_program([rule], registry=registry))
     assert "arity" in report.diagnostics[0].reason
+
+
+def test_validate_head_arity_mismatch_and_ok_report(registry):
+    rule = Rule(Atom("R", (v("x"), v("y"))), (Atom("E", (v("x"),)),))
+    p = Program({"E": 1}, {"R": 1}, [rule], [], registry)
+    assert str(validate_program(p)) == (
+        "rule 0: relation 'R' declared with arity 1, used with 2"
+    )
+    good = Rule(Atom("T", (v("x"),)), (Atom("E", (v("x"),)),))
+    assert str(validate_program(_program([good], registry=registry))) == "ok"
 
 
 def test_validate_unknown_distribution(registry):

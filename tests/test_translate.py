@@ -142,6 +142,22 @@ def test_invalid_program_rejected(registry):
         to_existential(bad)
 
 
+def test_declared_generated_name_rejected(registry):
+    from gdlog.model import DeltaTerm, Program, Rule
+
+    # the parser rejects names holding "__", so only a hand-built program
+    # can declare one
+    rule = Rule(
+        Atom("R", (Variable("x"), DeltaTerm("Flip", (0.5,)))),
+        (Atom("S", (Variable("x"),)),),
+    )
+    p = Program({"S": 1, "R__Flip__2": 3}, {"R": 2}, [rule], [], registry)
+    with pytest.raises(
+        GdlogError, match="relation name 'R__Flip__2' collides with a generated name"
+    ):
+        to_existential(p)
+
+
 def test_program_without_registry(burglar):
     """A hand-built program with no registry validates, but its draws name
     unknown distributions: translating it is an input error."""
