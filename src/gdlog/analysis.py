@@ -10,10 +10,9 @@ that every possible outcome is finite.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .model import DeltaTerm, Program, Rule, Variable
+from .model import DeltaTerm, Program, Rule, Variable, _Record
 
 __all__ = [
     "Position",
@@ -44,8 +43,7 @@ class Edge(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
+class DependencyGraph(_Record):
     nodes: frozenset  # of Position
     normal_edges: frozenset  # of (Position, Position)
     special_edges: frozenset  # of (Position, Position)
@@ -100,8 +98,7 @@ def build_dependency_graph(program: Program) -> DependencyGraph:
     return DependencyGraph(frozenset(nodes), frozenset(normal), frozenset(special))
 
 
-@dataclass(frozen=True)
-class WeakAcyclicityResult:
+class WeakAcyclicityResult(_Record):
     weakly_acyclic: bool
     witness: tuple | None  # of Edge forming a cycle through a special edge
 

@@ -55,7 +55,6 @@ from __future__ import annotations
 import math
 from bisect import insort
 from collections import Counter, deque
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .distributions import DomainError, RngStream
@@ -65,6 +64,7 @@ from .model import (
     GdlogError,
     Program,
     Variable,
+    _Record,
     _row_key,
     _sorted_canonical,
     fact_key,
@@ -106,8 +106,7 @@ def _mix(a: int, b: int) -> int:
     return z ^ (z >> 31)
 
 
-@dataclass(frozen=True)
-class Firing:
+class Firing(_Record):
     """A rule index plus a body binding, in a hashable public form."""
 
     rule_index: int
@@ -118,8 +117,7 @@ class Firing:
         return dict(self.binding_items)
 
 
-@dataclass(frozen=True)
-class Rejection:
+class Rejection(_Record):
     """Why a candidate fact set was not accepted."""
 
     reason: str
@@ -128,8 +126,7 @@ class Rejection:
         return False
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(_Record):
     facts: frozenset  # of Fact
     log_probability: float
     terminated: str  # LEAF or BUDGET_EXHAUSTED

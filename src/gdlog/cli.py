@@ -216,7 +216,7 @@ def _cmd_infer(args) -> int:
         est = estimate_posterior(
             program, input_facts, query, args.samples, args.seed, args.budget
         )
-        report = vars(est)
+        report = est._asdict()
     else:
         policy = EnumerationPolicy(mass_epsilon=args.epsilon, node_budget=args.nodes)
         report = _exact_bounds(program, input_facts, query, policy)._asdict()

@@ -12,11 +12,10 @@ by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .model import GdlogError
+from .model import GdlogError, _Record
 
 __all__ = [
     "DomainError",
@@ -102,8 +101,7 @@ class RngStream:
         return f"RngStream({self.base_seed}, {self.stream_index})"
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
+class DistributionSpec(_Record, uncompared=("_pmf", "_support", "_param_problem")):
     """One entry of the registry: pmf, support order, parameter domain.
 
     ``support`` yields candidate values in a fixed order with
@@ -115,9 +113,9 @@ class DistributionSpec:
     name: str
     pardim: int
     finite_support: bool
-    _pmf: Callable = field(compare=False)
-    _support: Callable = field(compare=False)
-    _param_problem: Callable = field(compare=False)
+    _pmf: Callable
+    _support: Callable
+    _param_problem: Callable
 
     def check_params(self, params) -> tuple:
         params = tuple(params)
@@ -254,8 +252,7 @@ def _flip_check(params) -> str | None:
 _FLIP = DistributionSpec("Flip", 1, True, _flip_pmf, _flip_support, _flip_check)
 
 
-def _naturals(params) -> Iterator[float]:
-    x = 0.0
+def _naturals(params, x: float = 0.0) -> Iterator[float]:
     while True:
         yield x
         x += 1.0
@@ -272,6 +269,19 @@ def _poisson_pmf(x: float, params) -> float:
     return math.exp(x * math.log(lam) - lam - math.lgamma(x + 1.0))
 
 
+def _poisson_support(params) -> Iterator[float]:
+    """The naturals from the last value whose log pmf, rising up to the mode,
+    is under -800: ``exp`` underflows to 0.0 under about -745.2, so each value
+    skipped has pmf exactly 0.0 and adds no mass to a draw or enumeration."""
+    (lam,) = params
+    lo, hi = 0, math.floor(lam)
+    while hi - lo > 1:  # lo is 0 or has log pmf under -800; hi has not
+        mid = (lo + hi) // 2
+        low = mid * math.log(lam) - lam - math.lgamma(mid + 1.0) < -800.0
+        lo, hi = (mid, hi) if low else (lo, mid)
+    return _naturals(params, float(lo))
+
+
 def _poisson_check(params) -> str | None:
     (lam,) = params
     if not (lam > 0.0) or not math.isfinite(lam):
@@ -280,7 +290,7 @@ def _poisson_check(params) -> str | None:
 
 
 _POISSON = DistributionSpec(
-    "Poisson", 1, False, _poisson_pmf, _naturals, _poisson_check
+    "Poisson", 1, False, _poisson_pmf, _poisson_support, _poisson_check
 )
 
 

@@ -28,10 +28,9 @@ from __future__ import annotations
 import gc
 import heapq
 import math
-from dataclasses import dataclass
 
 from .chase import BUDGET_EXHAUSTED, LEAF, ChaseEngine, Outcome
-from .model import Fact, GdlogError, Program, _row_key, _sorted_canonical
+from .model import Fact, GdlogError, Program, _Record, _row_key, _sorted_canonical
 from .translate import to_existential
 
 __all__ = [
@@ -44,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EnumerationPolicy:
+class EnumerationPolicy(_Record):
     """Knobs bounding the exploration.
 
     mass_epsilon prunes each branch set down to cumulative mass
@@ -70,8 +68,7 @@ class EnumerationPolicy:
             raise GdlogError("support_mass_target must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
+class OutcomeDistribution(_Record):
     """Leaf outcomes with probabilities, plus unexplored mass."""
 
     entries: tuple  # of (Outcome, probability), pairwise distinct fact sets

@@ -6,7 +6,7 @@ shared freely across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator, Mapping, Union
 
 __all__ = [
@@ -55,16 +55,71 @@ def constant_key(c: Constant):
     return (0, c, "")
 
 
-@dataclass(frozen=True)
-class Variable:
+class _Record:
+    """Base of the immutable record types: one field per class annotation.
+
+    A class attribute named like a field is that field's default, and the
+    class keyword ``uncompared`` names fields that equality and hashing
+    skip. Unlike ``dataclasses`` it generates no code: every method reads
+    the field list, so defining a record runs no ``exec`` at import.
+    """
+
+    def __init_subclass__(cls, uncompared=()):
+        cls._fields = names = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+        key = attrgetter(*(n for n in names if n not in uncompared))
+        one = len(names) - len(uncompared) == 1  # attrgetter returns no tuple
+        cls._key = staticmethod((lambda r: (key(r),)) if one else key)
+        cls._post_init = hasattr(cls, "__post_init__")
+        cls.__match_args__ = names
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            given = dict(zip(names, args))
+            values = {**self._defaults, **given, **kwargs}
+            extra = len(args) > len(names) or given.keys() & kwargs
+            if extra or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__} takes the fields {names}")
+            args = [values[n] for n in names]
+        for name, value in zip(names, args):  # not as a dict: reads stay fast
+            object.__setattr__(self, name, value)
+        if self._post_init:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _asdict(self) -> dict:
+        return {n: getattr(self, n) for n in self._fields}
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+
+class Variable(_Record):
     name: str
 
     def __repr__(self) -> str:
         return f"Variable({self.name!r})"
 
 
-@dataclass(frozen=True)
-class DeltaTerm:
+class DeltaTerm(_Record):
     """A draw from a named parameterized distribution, e.g. Flip[0.3]."""
 
     dist: str
@@ -78,8 +133,7 @@ class DeltaTerm:
 Term = Union[Constant, Variable, DeltaTerm]
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(_Record):
     relation: str
     args: tuple  # of Term
 
@@ -102,8 +156,7 @@ class Atom:
                 yield t
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(_Record):
     """A generative rule. The head may contain at most one draw term."""
 
     head: Atom
@@ -117,16 +170,14 @@ class Rule:
             yield from a.variables()
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(_Record):
     """An observation `body => head`. A head of None encodes falsum."""
 
     body: tuple  # of Atom, nonempty
     head: Atom | None
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(_Record):
     relation: str
     args: tuple  # of Constant
 
@@ -164,8 +215,7 @@ def _sorted_canonical(items, key, plain_key=None) -> list:
 Instance = frozenset
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(_Record, uncompared=("dists",)):
     """A generative program: EDB/IDB schemas, rules, and constraints.
 
     ``dists`` is the registry of distributions the rules may draw from;
@@ -177,7 +227,7 @@ class Program:
     idb: dict  # relation name -> arity
     rules: list  # of Rule
     constraints: list  # of Constraint
-    dists: object = field(compare=False, default=None)
+    dists: object = None
 
     def arity_of(self, relation: str) -> int | None:
         if relation in self.edb:
@@ -189,8 +239,7 @@ class Program:
 # Validation
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(_Record):
     scope: str  # "program" | "rule" | "constraint"
     index: int | None
     reason: str
@@ -200,8 +249,7 @@ class Diagnostic:
         return f"{where}: {self.reason}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
     diagnostics: tuple
 
     @property

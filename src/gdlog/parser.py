@@ -30,7 +30,6 @@ import io
 import math
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .model import (
     Atom,
@@ -42,6 +41,7 @@ from .model import (
     Program,
     Rule,
     Variable,
+    _Record,
     _arity_problem,
     _row_key,
     _sorted_canonical,
@@ -66,8 +66,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(_Record):
     file: str
     line: int  # 1-based
     col: int  # 1-based

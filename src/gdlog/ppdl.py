@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .chase import (
     BUDGET_EXHAUSTED,
@@ -32,7 +31,7 @@ from .enumeration import (
     _distribution,
     _explore,
 )
-from .model import Fact, GdlogError, IllegalInput, Program, constant_key
+from .model import Fact, GdlogError, IllegalInput, Program, _Record, constant_key
 from .parser import render_fact
 from .translate import to_existential
 
@@ -126,8 +125,7 @@ def _observations(p: Program, engine: ChaseEngine):
     return lambda state: _satisfies_all(compiled, state)
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(_Record):
     satisfied: bool
     violations: tuple  # of (constraint index, binding dict)
 
@@ -203,8 +201,7 @@ def _exact_bounds(p: Program, input_facts, query: Fact, policy) -> _Bounds:
     return _Bounds(point, min(1.0, point + residual), explored, residual)
 
 
-@dataclass(frozen=True)
-class PosteriorEstimate:
+class PosteriorEstimate(_Record):
     """Rejection-sampling estimate of a posterior fact probability.
 
     Budget-exhausted runs are excluded from both the numerator and the

@@ -9,7 +9,6 @@ except the sampled one determine the sampled one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .model import (
     Atom,
@@ -18,6 +17,7 @@ from .model import (
     Program,
     Rule,
     Variable,
+    _Record,
     validate_program,
 )
 from .parser import render_atom, render_declarations
@@ -38,8 +38,7 @@ EXISTENTIAL = "existential"
 PROJECTION = "projection"
 
 
-@dataclass(frozen=True)
-class DistRelation:
+class DistRelation(_Record):
     """Auxiliary relation for draws into ``base`` at ``position`` (1-based).
 
     A row's FD key is every attribute but the drawn one, in order, so the
@@ -78,8 +77,7 @@ class DistRelation:
         return index if len(index) == len(rows) else None
 
 
-@dataclass(frozen=True)
-class FunctionalDependency:
+class FunctionalDependency(_Record):
     relation: str
     determinants: tuple  # 1-based attribute indexes
     dependent: int
@@ -89,8 +87,7 @@ class FunctionalDependency:
         return f"{self.relation}: {{{lhs}}} -> {self.dependent}"
 
 
-@dataclass(frozen=True)
-class ExistentialRule:
+class ExistentialRule(_Record):
     """One rule of the translated program.
 
     For ``existential`` rules the head is an atom over the
@@ -105,8 +102,7 @@ class ExistentialRule:
     exist_var: str | None = None
 
 
-@dataclass
-class ExistentialProgram:
+class ExistentialProgram(_Record):
     edb: dict
     idb: dict  # ordinary IDB relations only
     dist_relations: list  # of DistRelation, first-occurrence order

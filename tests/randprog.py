@@ -13,7 +13,6 @@ a sampled outcome.
 """
 from __future__ import annotations
 
-import dataclasses
 import random
 
 from gdlog.model import (
@@ -130,7 +129,7 @@ def _constrained(rnd: random.Random, program):
     """``program`` with one or two random constraints."""
     while True:  # a valid program: declared relations, no draw terms
         constraints = [_random_constraint(rnd) for _ in range(rnd.randint(1, 2))]
-        constrained = dataclasses.replace(program, constraints=constraints)
+        constrained = program._replace(constraints=constraints)
         if validate_program(constrained).ok:
             return constrained
 

@@ -370,8 +370,6 @@ def test_invariant_check_catches_a_tampered_state(burglar, burglar_edb, tamper, 
 
 
 def test_engine_rejects_a_draw_in_a_body_and_an_unknown_distribution(burglar):
-    from dataclasses import replace
-
     from gdlog.distributions import Registry
     from gdlog.model import Atom, DeltaTerm, Variable
     from gdlog.translate import COPIED, ExistentialProgram, ExistentialRule
@@ -381,7 +379,7 @@ def test_engine_rejects_a_draw_in_a_body_and_an_unknown_distribution(burglar):
     ghat = ExistentialProgram({"S": 1}, {"R": 1}, [], [rule], [], Registry.standard())
     with pytest.raises(GdlogError, match="draw term in a translated rule body"):
         ChaseEngine(ghat)
-    bare = replace(to_existential(burglar), dists=Registry())
+    bare = to_existential(burglar)._replace(dists=Registry())
     with pytest.raises(GdlogError, match="unknown distribution 'Flip'"):
         ChaseEngine(bare)
 

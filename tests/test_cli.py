@@ -502,6 +502,7 @@ def test_output_identical_across_processes(capsys):
 def test_runs_without_numpy():
     # the standard library is the only runtime dependency, and the
     # command line loads no module that only check, enumerate or infer run
+    import ast
     import subprocess
     import sys
     from pathlib import Path
@@ -541,6 +542,28 @@ def test_runs_without_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+    # nor code-generating machinery, beyond what the standard-library
+    # modules gdlog imports load on this Python by themselves
+    stdlib = set()
+    for path in Path(gdlog.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                stdlib.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                stdlib.add(node.module.split(".")[0])
+    machinery = ("dataclasses", "inspect")
+    stdlib -= {"__future__", *machinery}
+    report = f"print(*(m for m in {machinery!r} if m in sys.modules))"
+    loaded = {}
+    for name, imports in (("gdlog", "gdlog.cli"), ("stdlib", ", ".join(stdlib))):
+        child = f"import sys, {imports}\n{report}\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded[name] = set(proc.stdout.split())
+    assert loaded["gdlog"] <= loaded["stdlib"], loaded
 
 
 def test_verbosity_env_never_affects_results(capsys, monkeypatch):

@@ -289,3 +289,67 @@ def test_sampler_pmf_agreement_chi_square(reg, name, params):
         expected[-1] += tail_exp
     stat, pvalue = scipy.stats.chisquare(observed, expected)
     assert pvalue > 1e-3, f"{name}: chi2={stat}, p={pvalue}"
+
+
+# -- Poisson support start ----------------------------------------------------
+
+POISSON_MEANS = (0.5, 1.0, 3.0, 10.0, 100.0, 745.0, 800.0, 801.0, 1e3, 1e4, 1e5)
+
+
+def _old_poisson():
+    """Poisson as it was, with its support walked from 0."""
+    from gdlog.distributions import (
+        DistributionSpec,
+        _naturals,
+        _poisson_check,
+        _poisson_pmf,
+    )
+
+    return DistributionSpec(
+        "Poisson", 1, False, _poisson_pmf, _naturals, _poisson_check
+    )
+
+
+def _old_draw_table(lam):
+    """(values, pmfs, cumulative sums) of every draw the walk from 0 can make."""
+    from gdlog.distributions import _naturals, _poisson_pmf
+
+    values, pmfs, cums, cum = [], [], [], 0.0
+    for v in _naturals((lam,)):
+        p = _poisson_pmf(v, (lam,))
+        if p > 0.0:
+            cum += p
+            values.append(v), pmfs.append(p), cums.append(cum)
+        elif values:
+            return values, pmfs, cums
+
+
+@pytest.mark.parametrize("lam", POISSON_MEANS)
+def test_poisson_support_skips_only_values_without_mass(reg, lam):
+    from bisect import bisect_right
+
+    from gdlog.distributions import _poisson_pmf, _poisson_support
+
+    start = next(_poisson_support((lam,)))
+    assert all(_poisson_pmf(float(x), (lam,)) == 0.0 for x in range(int(start)))
+    assert (start > 0.0) is (lam >= 1e3)  # log pmf(0) = -lam: none skipped
+    # draws: the old spec itself on a few streams, its walk's table on 300
+    old, new = _old_poisson(), reg.get("Poisson")
+    for i in range(3):
+        assert new.draw((lam,), RngStream(3, i)) == old.draw((lam,), RngStream(3, i))
+    values, pmfs, cums = _old_draw_table(lam)
+    for i in range(300):
+        u = RngStream(11, i).uniform()
+        k = min(bisect_right(cums, u), len(values) - 1)
+        assert new.draw((lam,), RngStream(11, i)) == (values[k], pmfs[k])
+    for target in (0.5, 0.99, 1.0 - 1e-12, 1.0):
+        support = new.enumerate_support((lam,), target)
+        assert support == old.enumerate_support((lam,), target)
+
+
+def test_large_poisson_mean_starts_near_its_mass():
+    from gdlog.distributions import _poisson_support
+
+    for lam in (1e6, 1e8):
+        start = next(_poisson_support((lam,)))
+        assert lam - 50.0 * math.sqrt(lam) < start < lam - 30.0 * math.sqrt(lam)

@@ -18,7 +18,6 @@ same sample.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from collections import Counter
@@ -262,8 +261,8 @@ def _variable_parameter(rnd: random.Random, program):
         for t in rule.head.args
     )
     rules = list(program.rules)
-    rules[i] = dataclasses.replace(rule, head=dataclasses.replace(rule.head, args=args))
-    return dataclasses.replace(program, rules=rules)
+    rules[i] = rule._replace(head=rule.head._replace(args=args))
+    return program._replace(rules=rules)
 
 
 def test_estimate_matches_old_sampling_loop(registry, monkeypatch):
