@@ -27,21 +27,20 @@ when the new row matches several atoms of one rule.
 Each rule is specialised once, when the engine is built, into closures
 generated over its compiled atoms, so the hot path interprets no terms:
 ``head_key(slots)`` grounds the head row, or the functional-dependency
-key of a drawn head; ``body_rows`` ground the body atoms; and
-``matchers[j](row)`` checks a new row against the constants and repeated
-variables of body atom j and returns the slots it binds, already the
-whole binding when the body is that one atom, so no join runs. Constants
-reach the generated code through its namespace, never through its
-source text.
+key of a drawn head, and ``matchers[j](row)`` checks a new row against
+the constants and repeated variables of body atom j and returns the
+slots it binds, already the whole binding when the body is that one
+atom, so no join runs. Constants reach the generated code through its
+namespace, never through its source text.
 
-``ChaseEngine.run`` is the one chase driver, with one stop rule: a
-distributional firing draws from the run's rng, or without one is returned
-unapplied. Chases differ only in who picks that value: sampling draws it,
-enumeration branches over the support (``run_to_branch``), Monte Carlo
-inference follows one drawn value per sample, and replay and cylinder
-masses force it from a target fact set (``forced_mass``). An optional
-``choose(rule, slots)`` callback applies, skips or stops at each
-deterministic firing.
+``ChaseEngine.run`` is the one chase driver, with one stop rule: a firing
+it cannot decide is returned unapplied, be it a distributional firing in a
+run without an rng or a deterministic one whose head row is outside the
+run's ``heads``. Chases differ only in who picks a drawn value: sampling
+draws it, enumeration branches over the support (``run_to_branch``), Monte
+Carlo inference follows one drawn value per sample, and replay and
+cylinder masses force it from a target fact set, which is also their
+``heads`` (``forced_mass``).
 
 Draw weights are accumulated in log space while a run is in flight. Each
 state also keeps a ledger of its draws' pmfs, taken when the draw fires
@@ -75,7 +74,6 @@ from .translate import EXISTENTIAL, ExistentialProgram, to_existential
 __all__ = [
     "LEAF",
     "BUDGET_EXHAUSTED",
-    "SKIP",
     "Firing",
     "Outcome",
     "Rejection",
@@ -89,7 +87,6 @@ __all__ = [
 
 LEAF = "leaf"
 BUDGET_EXHAUSTED = "budget-exhausted"
-SKIP = object()  # returned by a ``choose`` callback: drop this firing
 
 FIFO = "fifo"
 REVERSED_RULES = "reversed-rules"
@@ -334,7 +331,6 @@ class _CompiledRule:
         "head_rel",
         "head_args",
         "head_key",
-        "body_rows",
         "distrel",
         "spec",
     )
@@ -450,7 +446,6 @@ class ChaseEngine:
         c.head_args = _compile_atom_args(head, slot_of)
         c.nvars = len(slot_of)
         c.head_key = _grounder(c.head_args)
-        c.body_rows = tuple(_grounder(args) for _, args in c.body)
         c.matchers = tuple(_matcher(args, c.nvars) for _, args in c.body)
         c.var_names = tuple(slot_of)  # slots are numbered in insertion order
         return c
@@ -642,16 +637,15 @@ class ChaseEngine:
                         f"join index on {rel} at {positions} out of sync"
                     )
 
-    def run(self, state: ChaseState, rng, step_budget: int, choose=None):
+    def run(self, state: ChaseState, rng, step_budget: int, heads=None):
         """Drive the chase until no firing applies (LEAF) or ``state.steps``
         reaches ``step_budget`` with one still applicable (BUDGET_EXHAUSTED).
 
-        A distributional firing within the budget draws from ``rng``; with
-        no ``rng`` the run stops there and returns the firing, popped from
-        the frontier but unapplied, as (rule, slots). ``choose(rule,
-        slots)``, if given, sees each deterministic firing within the budget
-        and returns None to apply it, ``SKIP`` to drop it, or a
-        ``Rejection``, which the run returns with the firing unapplied.
+        A distributional firing within the budget draws from ``rng``, and a
+        deterministic one is applied if its head row is in ``heads``
+        (relation -> rows) or no ``heads`` is given. Otherwise the run stops
+        and returns the firing, popped from the frontier but unapplied, as
+        (rule, slots).
         """
         if step_budget < 1:
             raise GdlogError("step_budget must be positive")
@@ -665,12 +659,9 @@ class ChaseEngine:
             if rule.distrel is not None:
                 if rng is None:
                     return nxt
-            elif choose is not None:
-                stop = choose(rule, slots)
-                if stop is SKIP:
-                    continue
-                if stop is not None:
-                    return stop
+            elif heads is not None:
+                if rule.head_key(slots) not in heads.get(rule.head_rel, ()):
+                    return nxt
             self.apply(state, rule, slots, None, rng)
 
     def run_to_branch(self, state: ChaseState, step_budget: int):
@@ -702,24 +693,26 @@ class ChaseEngine:
     def forced_mass(self, input_facts, target: frozenset, strict: bool):
         """Chase ``input_facts`` with every choice forced by ``target``.
 
-        The run has no rng, so it returns each distributional firing. Its
-        parameters are checked first, so an invalid one raises DomainError
-        as in every other chase, even for a firing then dropped or rejected;
-        a firing whose value the target's functional dependency fixes is
-        drawn with it, weighed once through ``mass``. A firing whose head is
-        not in the target is rejected if ``strict`` (replay: the target must
-        be an outcome), else dropped (cylinder: the target need only be a
-        chase prefix). Facts only grow and every applied firing adds a
-        target fact, so dropping cannot lose a firing that would later fit.
-        Returns the canonical mass of the reached state, or a Rejection
-        naming the first problem, including a target fact left underived.
+        The run has no rng and the target as its ``heads``, so it returns
+        each distributional firing and each deterministic firing whose head
+        is not in the target. A distributional firing's parameters are
+        checked first, so an invalid one raises DomainError as in every
+        other chase, even for a firing then dropped or rejected; a firing
+        whose value the target's functional dependency fixes is drawn with
+        it, weighed once through ``mass``. A firing whose head is not in the
+        target is rejected if ``strict`` (replay: the target must be an
+        outcome), else dropped (cylinder: the target need only be a chase
+        prefix). Facts only grow and every applied firing adds a target
+        fact, so dropping cannot lose a firing that would later fit. Returns
+        the canonical mass of the reached state, or a Rejection naming the
+        first problem, including a target fact left underived.
         """
-        target_rows: dict = {}
+        heads: dict = {}  # the target's rows by relation
         for f in target:
-            target_rows.setdefault(f.relation, set()).add(f.args)
+            heads.setdefault(f.relation, set()).add(f.args)
         keyed: dict = {}
         for dr in self.ghat.dist_relations:
-            rows = target_rows.get(dr.name, set())
+            rows = heads.get(dr.name, set())
             for row in rows:
                 if len(row) != dr.arity:
                     return Rejection(
@@ -728,22 +721,17 @@ class ChaseEngine:
             keyed[dr.name] = dr.fd_index(rows)
             if keyed[dr.name] is None:
                 return Rejection(f"functional dependency violation on {dr.name}")
-
-        def choose(rule, slots):
-            row = rule.head_key(slots)
-            if row in target_rows.get(rule.head_rel, ()):
-                return None
-            if not strict:
-                return SKIP
-            fact = render_fact(Fact(rule.head_rel, row))
-            return Rejection(f"missing forced fact {fact}")
-
         state = self.initial_state(input_facts)
         # each step adds a target fact, so this budget is never reached
         budget = len(target) + 1
-        while isinstance(stop := self.run(state, None, budget, choose), tuple):
+        while isinstance(stop := self.run(state, None, budget, heads), tuple):
             rule, slots = stop
             rel, key = rule.head_rel, rule.head_key(slots)
+            if rule.distrel is None:  # a head outside the target
+                if strict:
+                    fact = render_fact(Fact(rel, key))
+                    return Rejection(f"missing forced fact {fact}")
+                continue  # the run popped the firing: it is dropped
             params = self.checked_params(rule, slots, key)
             if key not in keyed[rel]:
                 if strict:
@@ -756,8 +744,6 @@ class ChaseEngine:
             if pmf <= 0.0:
                 return Rejection(f"zero-weight choice {value} on {rel} at {key}")
             self.apply(state, rule, slots, float(value), pmf=pmf)
-        if isinstance(stop, Rejection):
-            return stop
         left = sorted(target - state.instance(), key=fact_key)
         if left:
             fact = render_fact(left[0])
@@ -790,10 +776,11 @@ class ChaseEngine:
         return rule, tuple(slots)
 
     def body_satisfied(self, state: ChaseState, rule: _CompiledRule, slots) -> bool:
-        for (rel, _), ground in zip(rule.body, rule.body_rows):
-            if ground(slots) not in state.facts.get(rel, ()):
-                return False
-        return True
+        return all(
+            tuple(slots[p] if is_var else p for is_var, p in args)
+            in state.facts.get(rel, ())
+            for rel, args in rule.body
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -155,14 +155,14 @@ class DistributionSpec(_Record, uncompared=("_pmf", "_support", "_param_problem"
             p = self._pmf(v, params)
             if p > 0.0:
                 last = v, p
-                cum += p
-                if u < cum:
+                prev, cum = cum, cum + p
+                if u < cum or cum == prev:  # a stalled sum lost the rest to rounding
                     return last
             elif last is not None:
                 break  # past the positive tail
         if last is None:
             raise DomainError(f"{self.name}: empty support for params {params}")
-        return last  # u fell into mass lost to rounding; clamp to the tail
+        return last  # u fell into the rounding loss of a support that ended
 
     def enumerate_support(self, params, mass_target: float) -> list:
         """Ordered (value, pmf) pairs with cumulative pmf >= mass_target.

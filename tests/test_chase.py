@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -19,10 +20,11 @@ from gdlog.chase import (
 )
 from gdlog.distributions import DomainError, RngStream
 from gdlog.enumeration import cylinder_mass
-from gdlog.model import Fact, GdlogError
+from gdlog.model import Fact, GdlogError, fact_key
 from gdlog.translate import to_existential
 
 from conftest import load_facts, load_program
+from randprog import random_program
 
 
 def _fact(rel, *args):
@@ -397,23 +399,77 @@ def test_run_without_rng_returns_the_drawn_firing_unapplied(burglar, burglar_edb
     assert state.canonical_draws() == []
 
 
-def test_choose_sees_only_deterministic_firings(burglar, burglar_edb):
+def _heads(facts) -> dict:
+    heads: dict = {}
+    for f in facts:
+        heads.setdefault(f.relation, set()).add(f.args)
+    return heads
+
+
+def _check_heads_retrace(engine, facts, seed: int, budget: int) -> int:
+    """With ``heads`` the rows that a plain run with the same seed reached,
+    a run retraces it; with one deterministically derived row taken out,
+    the run stops at the firing that derives that row, unapplied. Returns
+    the number of rows taken out."""
+    plain = engine.initial_state(facts)
+    end = engine.run(plain, RngStream(seed, 0), budget)
+    reached = plain.instance()
+    state = engine.initial_state(facts)
+    assert engine.run(state, RngStream(seed, 0), budget, _heads(reached)) == end
+    assert state.facts == plain.facts
+    assert state.canonical_draws() == plain.canonical_draws()
+    derived = {r.head_rel for r in engine.rules if r.distrel is None}
+    taken = 0
+    for fact in sorted(reached - frozenset(facts), key=fact_key):
+        if fact.relation not in derived:
+            continue
+        state = engine.initial_state(facts)
+        stop = engine.run(state, RngStream(seed, 0), budget, _heads(reached - {fact}))
+        rule, slots = stop
+        assert rule.distrel is None
+        assert (rule.head_rel, rule.head_key(slots)) == (fact.relation, fact.args)
+        assert fact.args not in state.facts.get(fact.relation, ())
+        taken += 1
+    return taken
+
+
+def test_heads_retrace_a_seeded_run(burglar, burglar_edb):
     engine = ChaseEngine(to_existential(burglar))
-    seen = []
-
-    def choose(rule, slots):
-        seen.append(rule)
-        return None
-
     for seed in range(5):
-        state = engine.initial_state(burglar_edb)
-        assert engine.run(state, RngStream(seed, 0), 10**6, choose) == LEAF
+        # Earthquake, Burglary and Trig of every city and unit, Alarm of some
+        assert _check_heads_retrace(engine, burglar_edb, seed, 10**6) >= 10
+    # cut by the budget, the run with heads is cut at the same place
+    assert _check_heads_retrace(engine, burglar_edb, 0, 8) > 0
+
+
+def test_heads_retrace_seeded_runs_of_random_programs(registry):
+    taken = 0
+    for seed in range(200):
+        program, facts = random_program(random.Random(seed), registry)
+        engine = ChaseEngine(to_existential(program), check_invariants=True)
+        # every run reaches a leaf at 40 steps; some are cut at 6
+        taken += _check_heads_retrace(engine, facts, seed, 6 if seed % 3 else 40)
+    assert taken > 300  # not vacuous
+
+
+def test_run_without_rng_stops_at_draws_and_heads_outside(burglar, burglar_edb):
+    engine = ChaseEngine(to_existential(burglar))
+    quake = _fact("Earthquake", "Napa", 1)
+    heads = _heads(worked_outcome(burglar_edb) - {quake})
     state = engine.initial_state(burglar_edb)
-    while isinstance(stop := engine.run(state, None, 10**6, choose), tuple):
-        engine.apply(state, *stop, choice=1.0)
+    drawn, outside = 0, []
+    while isinstance(stop := engine.run(state, None, 10**6, heads), tuple):
+        rule, slots = stop
+        if rule.distrel is None:
+            row = rule.head_key(slots)
+            assert row not in heads.get(rule.head_rel, ())
+            outside.append(Fact(rule.head_rel, row))
+        else:
+            drawn += 1
+        engine.apply(state, rule, slots, choice=1.0)
     assert stop == LEAF
-    assert seen
-    assert all(rule.distrel is None for rule in seen)
+    assert drawn == 14  # all forced to 1: 2 earthquakes, 4 burglaries, 8 triggers
+    assert quake in outside and _fact("Earthquake", "Yucaipa", 1) in outside
 
 
 # -- replay_weight ---------------------------------------------------------------

@@ -239,12 +239,17 @@ def test_negative_seed_or_stream_index_rejected():
 
 def test_draw_clamps_to_the_last_value_of_positive_mass(reg):
     # a uniform past the summed mass, which rounding leaves below 1, falls
-    # on the last value whose pmf is still positive
+    # on the value where the sum stops growing: the last one that
+    # enumerate_support lists at full mass, not one far into the tail
     class Top:
         def uniform(self):
             return 1.0 - 2.0**-53
 
-    assert reg.get("Poisson").draw((1.0,), Top()) == (177.0, 1e-323)
+    for name, p in (("Poisson", 1.0), ("Geo", 0.3), ("Geo", 1e-3)):
+        spec = reg.get(name)
+        assert spec.draw((p,), Top()) == spec.enumerate_support((p,), 1.0)[-1]
+    assert reg.get("Poisson").draw((1.0,), Top()) == (19.0, 3.0242027006024186e-18)
+    assert reg.get("Geo").draw((1e-3,), Top())[0] == 30507.0
     assert reg.get("Flip").draw((0.5,), Top()) == (0.0, 0.5)
 
 

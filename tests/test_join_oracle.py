@@ -4,8 +4,9 @@ Random programs from ``randprog`` are chased step by step with
 invariant checking on. Before every step, every (rule, delta atom) join
 and every frontier-seeding join is run by the engine and by the scanning
 reference in ``nested_join``; the multisets of bindings must agree.
-Each rule's compiled head key, body grounders and delta matchers are
-compared the same way with the term-by-term ``ground`` and ``match``, on
+Each rule's compiled head key and delta matchers are compared the same
+way with the term-by-term ``ground`` and ``match``, and its body check
+must hold for every nested-loop binding, on
 random programs, on every corpus program, and on a program built to hold
 zero-arity atoms, repeated variables and hostile string constants.
 Constraint checks are compared the same way on random constraint bodies
@@ -51,14 +52,14 @@ def _check_joins(engine, state) -> int:
 
 def _check_compiled(engine, state) -> int:
     """The compiled closures of every rule agree with the interpreted
-    ``ground`` and ``match`` on every binding and row of ``state``."""
+    ``ground`` and ``match`` on every binding and row of ``state``, and
+    ``body_satisfied`` holds on every binding."""
     compared = 0
     rows = [row for rel_rows in state.facts.values() for row in rel_rows]
     for rule in engine.rules:
         for slots in nested_extend(state, rule, [None] * rule.nvars, -1):
             assert rule.head_key(slots) == ground(rule.head_args, slots)
-            for (_, args), body_row in zip(rule.body, rule.body_rows):
-                assert body_row(slots) == ground(args, slots)
+            assert engine.body_satisfied(state, rule, slots)
             compared += 1
         for j, (_, args) in enumerate(rule.body):
             # rows of every relation, so that constants also fail to match
