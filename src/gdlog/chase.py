@@ -1,11 +1,11 @@
 """Probabilistic chase over a translated existential program.
 
-The engine keeps a FIFO frontier of pending rule firings, re-checking
-applicability when a firing is popped; every enqueued firing is
+The engine's frontier holds pending firings as (rank, binding) pairs, a
+rule's rank being its priority under the scheduling order; a popped
+firing is re-checked for applicability, and every enqueued firing is
 eventually processed or found satisfied, which makes every run fair.
-Runs are reproducible: the frontier is seeded and extended in
-(rule index, lexicographic binding) order and all random choices come
-from an explicit seeded stream.
+Runs are reproducible: the frontier grows in (rank, binding) order and
+every random choice comes from an explicit seeded stream.
 
 Joins are semi-naive. When a fact is inserted, only the bindings that
 use it are discovered: the new row is matched against each body atom of
@@ -159,13 +159,13 @@ class ChaseState:
     def __init__(self):
         self.facts: dict = {}  # relation -> set of arg tuples
         self.obls: dict = {}  # distrel name -> {key tuple: drawn value}
-        self.pending = deque()  # of (rule index, slot tuple)
+        self.pending = deque()  # of (rule rank, slot tuple)
         # relation -> bound positions -> (key getter, {key: [rows]})
         self.index: dict = {}
         self.ledger: list = []  # ((distrel name, key sort key), pmf), sorted
         self.draws: list = []  # (distrel name, key, pmf) not yet in the ledger
         self.steps = 0
-        self.pops = 0
+        self.pops = 0  # random pops, which seed the next one
         self.owned: set = set()  # relations no other state references
 
     def copy(self) -> "ChaseState":
@@ -323,6 +323,7 @@ def _join_step(state: ChaseState, plan: tuple, k: int, cur: list, results: list)
 class _CompiledRule:
     __slots__ = (
         "index",
+        "rank",
         "body",
         "plans",
         "nvars",
@@ -382,19 +383,16 @@ def _matcher(args, nvars: int):
     return eval(f"lambda r: {out}", ns)
 
 
-def _reversed_pend(item) -> tuple:
-    # a pending (rule index, slots) pair under reversed rule priority
-    return (-item[0], item[1])
-
-
 class ChaseEngine:
     """Compiled rules plus scheduling policy for one existential program.
 
     ``order`` picks the fair scheduling flavor: "fifo" (default),
     "reversed-rules" (FIFO with rule priority reversed), or "random"
-    (seeded random pops from the frontier). With ``check_invariants``
-    the functional dependencies and strict instance growth are
-    re-verified from scratch after every step.
+    (seeded random pops from the frontier). The frontier holds (rank,
+    binding) pairs, a rank being a rule's index in ``_ranked``, the rules
+    in priority order. With ``check_invariants`` the functional
+    dependencies and strict instance growth are re-verified from scratch
+    after every step.
     """
 
     def __init__(
@@ -411,10 +409,11 @@ class ChaseEngine:
         self.order_seed = order_seed
         self.check_invariants = check_invariants
         self.distrel_by_name = {d.name: d for d in ghat.dist_relations}
-        self.rules: list = []
+        self.rules = [self._compile(i, r) for i, r in enumerate(ghat.rules)]
+        self._ranked = self.rules[::-1] if order == REVERSED_RULES else self.rules
+        for rank, rule in enumerate(self._ranked):
+            rule.rank = rank
         self._delta: dict = {}  # relation -> [(rule, body atom index)]
-        for idx, rule in enumerate(ghat.rules):
-            self.rules.append(self._compile(idx, rule))
         for rule in self.rules:
             for j, (rel, _) in enumerate(rule.body):
                 self._delta.setdefault(rel, []).append((rule, j))
@@ -460,13 +459,12 @@ class ChaseEngine:
     # -- frontier ---------------------------------------------------------
 
     def _pend_key(self, item) -> tuple:
-        idx, slots = item
-        return (-idx if self.order == REVERSED_RULES else idx, _row_key(slots))
+        rank, slots = item
+        return (rank, _row_key(slots))
 
     def _enqueue_batch(self, state: ChaseState, batch: list) -> None:
         if len(batch) > 1:
-            plain = _reversed_pend if self.order == REVERSED_RULES else None
-            batch = _sorted_canonical(batch, self._pend_key, plain)
+            batch = _sorted_canonical(batch, self._pend_key)
         state.pending.extend(batch)
 
     def _bindings(self, state: ChaseState):
@@ -477,7 +475,7 @@ class ChaseEngine:
 
     def _seed_frontier(self, state: ChaseState) -> None:
         # the state holds only EDB rows, so no head holds yet
-        self._enqueue_batch(state, [(r.index, s) for r, s in self._bindings(state)])
+        self._enqueue_batch(state, [(r.rank, s) for r, s in self._bindings(state)])
 
     def _discover(self, state: ChaseState, rel: str, row: tuple) -> None:
         batch = []
@@ -486,10 +484,10 @@ class ChaseEngine:
             if start is None:
                 continue
             if not rule.plans[atom_idx + 1]:
-                batch.append((rule.index, start))  # the body is this one atom
+                batch.append((rule.rank, start))  # the body is this one atom
                 continue
             for slots in self._extend(state, rule, start, atom_idx):
-                batch.append((rule.index, slots))
+                batch.append((rule.rank, slots))
         if len(batch) > 1:
             # a row matching several atoms of one rule finds a binding twice
             batch = list(dict.fromkeys(batch))
@@ -500,11 +498,9 @@ class ChaseEngine:
         if self.order == RANDOM_FAIR:
             i = _mix(self.order_seed, state.pops) % len(state.pending)
             state.pops += 1
-            state.pending.rotate(-i)
-            item = state.pending.popleft()
-            state.pending.rotate(i)
+            item = state.pending[i]
+            del state.pending[i]
             return item
-        state.pops += 1
         return state.pending.popleft()
 
     def head_satisfied(self, state: ChaseState, rule: _CompiledRule, slots) -> bool:
@@ -514,8 +510,8 @@ class ChaseEngine:
     def pop_applicable(self, state: ChaseState):
         """Next pending firing whose head is still unsatisfied, or None."""
         while state.pending:
-            idx, slots = self._pop_pending(state)
-            rule = self.rules[idx]
+            rank, slots = self._pop_pending(state)
+            rule = self._ranked[rank]
             if not self.head_satisfied(state, rule, slots):
                 return rule, slots
         return None
@@ -571,18 +567,16 @@ class ChaseEngine:
         checked the parameters, and is taken as is. Otherwise the firing's
         parameters are checked before ``choice`` is weighed through ``mass``,
         and an invalid parameter or a value of no mass raises DomainError."""
-        rel = rule.head_rel
+        rel, dr = rule.head_rel, rule.distrel
         row = key = rule.head_key(slots)
-        if rule.distrel is not None:
-            dr = rule.distrel
-            spec = rule.spec
+        if dr is not None:
             # checked once here, unless the caller drew or enumerated ``choice``
             params = None if pmf is not None else self.checked_params(rule, slots, key)
             if pmf is not None:
                 value, weight = choice, pmf
             elif choice is not None:
                 value = choice if isinstance(choice, str) else float(choice)
-                weight = spec.mass(value, params)
+                weight = rule.spec.mass(value, params)
                 if weight <= 0.0:
                     raise DomainError(
                         f"{self._firing_context(rule, slots)}: value {value} "
@@ -591,15 +585,14 @@ class ChaseEngine:
             else:
                 if rng is None:
                     raise GdlogError("distributional firing needs a choice or an rng")
-                value, weight = spec.draw(params, rng)
-            if rel not in state.owned:
-                state.own(rel)
+                value, weight = rule.spec.draw(params, rng)
+            row = dr.row(key, value)
+        state.add_row(rel, row)  # first taking ``rel``'s rows and obligations
+        if dr is not None:
             obls = state.obls.setdefault(rel, {})
             assert key not in obls, "functional dependency would be violated"
             obls[key] = value
             state.draws.append((rel, key, weight))
-            row = dr.row(key, value)
-        state.add_row(rel, row)
         state.steps += 1
         self._discover(state, rel, row)
         if self.check_invariants:

@@ -283,9 +283,11 @@ def _poisson_support(params) -> Iterator[float]:
 
 
 def _poisson_check(params) -> str | None:
+    # a walk ends by the last value of positive mass, under lam + 40 sqrt(lam):
+    # below 2**52 that is under 2**53, where ``_naturals`` still steps by 1.0
     (lam,) = params
-    if not (lam > 0.0) or not math.isfinite(lam):
-        return f"parameter lambda={lam} must be in (0, inf)"
+    if not (0.0 < lam < 2.0**52):
+        return f"parameter lambda={lam} must be in (0, 2**52)"
     return None
 
 
@@ -325,6 +327,8 @@ def _finite_check(params) -> str | None:
     bad = [p for p in params if not math.isfinite(p)]
     if bad:
         return f"parameters must be finite, got {bad}"
+    if not math.isfinite(2.0 * params[0]):  # the support values 2p and 2p + 1
+        return f"parameter p={params[0]} doubles past the float range"
     return None
 
 

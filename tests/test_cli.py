@@ -347,6 +347,46 @@ def test_domain_error_exit_2(tmp_path, capsys):
     assert "must be in [0, 1]" in err
 
 
+@pytest.mark.parametrize("command", [("sample", "--seed", "1"), ("enumerate",)])
+@pytest.mark.parametrize(
+    "dist, fact, message",
+    [
+        ("Dbl", "S(1e308).", "[x=1e+308]: Dbl: parameter p=1e+308 doubles past"),
+        ("Poisson", "S(1e17).", "[x=1e+17]: Poisson: parameter lambda=1e+17 must"),
+    ],
+    ids=["dbl", "poisson"],
+)
+def test_parameter_past_float_steps_exit_2(tmp_path, command, dist, fact, message):
+    """A parameter whose support values overflow (Dbl) or lose the float
+    step of 1.0 (Poisson) is a domain error that names the firing. The
+    command runs in a child process with a timeout: a Poisson walk from
+    1e17 never ends, and a Dbl draw from 1e308 would print ``inf``."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import gdlog
+
+    prog = tmp_path / "big.gdl"
+    prog.write_text(f"edb S/1.\nidb R/2.\nR(x, {dist}[x]) :- S(x).\n")
+    facts = tmp_path / "big.facts"
+    facts.write_text(fact + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "gdlog.cli", command[0], str(prog), "--edb", str(facts)]
+        + list(command[1:]),
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": str(Path(gdlog.__file__).resolve().parents[1]),
+            "PYTHONDONTWRITEBYTECODE": "1",  # no __pycache__ in the checkout
+        },
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert _single_error(proc.stderr, "error: rule 0 " + message), proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -92,6 +93,39 @@ def test_registry_membership_and_finite_parameters(reg):
     assert "Dbl" not in Registry.standard()
     with pytest.raises(DomainError, match=r"^Dbl: parameters must be finite, got \[inf\]$"):
         reg.get("Dbl").pmf(1, [math.inf])
+
+
+def test_doubling_parameters_stay_in_the_float_range(reg):
+    """Dbl and Fork reject a parameter whose support values 2p and 2p + 1
+    overflow, so no draw returns ``inf``."""
+    top = sys.float_info.max / 2  # 2 * top is the largest float
+    for name in ("Dbl", "Fork"):
+        spec = reg.get(name)
+        for p in (top, -top, 1e300):
+            assert all(math.isfinite(v) for v, _ in spec.enumerate_support((p,), 1.0))
+        for p in (math.nextafter(top, math.inf), -1e308):
+            with pytest.raises(DomainError, match=rf"^{name}: parameter p=.* doubles "):
+                spec.check_params((p,))
+
+
+def test_poisson_mean_below_2_pow_52(reg):
+    """From 2**53 on, adding 1.0 to a float leaves it unchanged, so a support
+    walk from near a mean of 1e17 never moves. Means from 2**52 on are
+    rejected; below, a walk ends by the last value of positive mass, which
+    is under lam + 40 sqrt(lam) and so under 2**53."""
+    from gdlog.distributions import _poisson_pmf, _poisson_support
+
+    spec = reg.get("Poisson")
+    for lam in (2.0**52, 1e17, math.inf, math.nan):
+        with pytest.raises(DomainError, match=r"lambda=.* must be in \(0, 2\*\*52\)$"):
+            spec.check_params((lam,))
+    lam = 2.0**52 - 1.0
+    assert spec.check_params((lam,)) == (lam,)
+    support = _poisson_support((lam,))
+    start = next(support)
+    assert [next(support), next(support)] == [start + 1.0, start + 2.0]
+    far = math.floor(lam + 40.0 * math.sqrt(lam))
+    assert far < 2.0**53 - 1.0 and _poisson_pmf(float(far), (lam,)) == 0.0
 
 
 # -- enumerate_support --------------------------------------------------------
