@@ -7,7 +7,10 @@ Dbl (all mass on 2p) and Fork (half on 2p, half on 2p+1).
 
 Sampling is by inversion over the support enumeration order with a
 single uniform draw, so it is bit-reproducible and agrees with the pmf
-by construction.
+by construction. Flip's inversion is written out, ``(1, p)`` if the
+uniform is under p and ``(0, 1 - p)`` otherwise, because Flip is the
+most drawn distribution and the walk over its two values costs twice as
+much; it returns what the walk returns for every p in [0, 1].
 """
 from __future__ import annotations
 
@@ -31,15 +34,12 @@ class DomainError(GdlogError):
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# SeedSequence's k-th hash: xor _HASH_A[k], times _HASH_A[k + 1] (_HASH_B: output)
-_HASH_A = tuple(0x43B0D7E5 * pow(0x931E8875, k, 1 << 32) & _M32 for k in range(17))
-_HASH_B = tuple(0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) & _M32 for i in range(9))
-_CROSS = tuple((src, dst) for src in range(4) for dst in range(4) if src != dst)
-
-
-def _words(n: int, size: int = 1) -> list:
-    """32-bit words of ``n >= 0``, least significant first, at least ``size``."""
-    return [n >> s & _M32 for s in range(0, max(n.bit_length(), 32 * size - 31), 32)]
+# SeedSequence: each hash constant is the last times _HASH; _MIX_L and _MIX_R
+# mix a hashed word into a pool word
+_HASH, _MIX_L, _MIX_R = 0x931E8875, 0xCA01F9DD, 0x4973F715
+_B0, _B1, _B2, _B3, _B4, _B5, _B6, _B7, _B8 = (
+    0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) & _M32 for i in range(9)
+)  # the output words' hash constants
 
 
 def _hash(v: int, x: int, m: int) -> int:
@@ -48,30 +48,59 @@ def _hash(v: int, x: int, m: int) -> int:
 
 
 def _mix(x: int, y: int) -> int:
-    m = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    m = (_MIX_L * x - _MIX_R * y) & _M32
     return m ^ m >> 16
 
 
 @lru_cache(maxsize=16)
-def _seed_pool(head: tuple) -> tuple:
-    """SeedSequence's pool after its first 4 entropy words, all the seed's."""
-    pool = [_hash(v, _HASH_A[k], _HASH_A[k + 1]) for k, v in enumerate(head)]
-    for k, (src, dst) in enumerate(_CROSS, 4):
-        pool[dst] = _mix(pool[dst], _hash(pool[src], _HASH_A[k], _HASH_A[k + 1]))
-    return tuple(pool)
+def _seed_pool(seed: int) -> tuple:
+    """SeedSequence's 4-word pool after all of ``seed``'s entropy words, and
+    the next hash constant: every stream of one seed starts from these.
+    The seed's 32-bit words come least significant first, padded to 4."""
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 97), 32)]
+    consts = _hash_constants()
+    pool = [_hash(v, *next(consts)) for v in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(consts)))
+    for v in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(v, *next(consts)))
+    return (*pool, next(consts)[0])
+
+
+def _hash_constants(c: int = 0x43B0D7E5) -> Iterator[tuple]:
+    """SeedSequence's hash constants by pairs: hash k xors c_k, times c_k+1."""
+    while True:
+        x, c = c, c * _HASH & _M32
+        yield x, c
 
 
 def _pcg_seed(seed: int, index: int) -> tuple:
     """PCG64 (state, increment) seeded by SeedSequence(seed, spawn_key=(index,))."""
-    entropy = _words(seed, 4) + _words(index)
-    pool, c = list(_seed_pool(tuple(entropy[:4]))), _HASH_A[16]
-    # word k >> 2 mixes into pool word k & 3; the hash constants run on
-    for k in range(16, 4 * len(entropy)):
-        x, c = c, c * 0x931E8875 & _M32
-        pool[k & 3] = _mix(pool[k & 3], _hash(entropy[k >> 2], x, c))
-    w = [_hash(pool[i & 3], _HASH_B[i], _HASH_B[i + 1]) for i in range(8)]
-    inc = ((w[4] | w[5] << 32) << 65 | (w[6] | w[7] << 32) << 1 | 1) & _M128
-    start = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
+    a, b, c, d, k = _seed_pool(seed)
+    while True:  # each 32-bit word of the index, least significant first,
+        w = index & _M32  # is hashed by the next 4 constants into a, b, c, d
+        h = (w ^ k) * (k := k * _HASH & _M32) & _M32
+        a = (m := (_MIX_L * a - _MIX_R * (h ^ h >> 16)) & _M32) ^ m >> 16
+        h = (w ^ k) * (k := k * _HASH & _M32) & _M32
+        b = (m := (_MIX_L * b - _MIX_R * (h ^ h >> 16)) & _M32) ^ m >> 16
+        h = (w ^ k) * (k := k * _HASH & _M32) & _M32
+        c = (m := (_MIX_L * c - _MIX_R * (h ^ h >> 16)) & _M32) ^ m >> 16
+        h = (w ^ k) * (k := k * _HASH & _M32) & _M32
+        d = (m := (_MIX_L * d - _MIX_R * (h ^ h >> 16)) & _M32) ^ m >> 16
+        index >>= 32
+        if not index:
+            break
+    w0, w1, w2, w3, w4, w5, w6, w7 = [v ^ v >> 16 for v in (
+        (a ^ _B0) * _B1 & _M32, (b ^ _B1) * _B2 & _M32,
+        (c ^ _B2) * _B3 & _M32, (d ^ _B3) * _B4 & _M32,
+        (a ^ _B4) * _B5 & _M32, (b ^ _B5) * _B6 & _M32,
+        (c ^ _B6) * _B7 & _M32, (d ^ _B7) * _B8 & _M32,
+    )]
+    inc = ((w4 | w5 << 32) << 65 | (w6 | w7 << 32) << 1 | 1) & _M128
+    start = (w0 | w1 << 32) << 64 | w2 | w3 << 32
     return ((inc + start) * _PCG_MULT + inc) & _M128, inc
 
 
@@ -116,6 +145,7 @@ class DistributionSpec(_Record, uncompared=("_pmf", "_support", "_param_problem"
     _pmf: Callable
     _support: Callable
     _param_problem: Callable
+    _flip = False  # not a field: set on Flip's spec, whose draw is written out
 
     def check_params(self, params) -> tuple:
         params = tuple(params)
@@ -149,6 +179,9 @@ class DistributionSpec(_Record, uncompared=("_pmf", "_support", "_param_problem"
         """(value, pmf at value) of one draw; ``params`` must come from
         ``check_params``."""
         u = rng.uniform()
+        if self._flip:  # the walk's result: 1 - p > 0 unless p = 1, where u < p
+            (p,) = params
+            return (1.0, p) if u < p else (0.0, 1.0 - p)
         cum = 0.0
         last = None
         for v in self._support(params):
@@ -250,6 +283,7 @@ def _flip_check(params) -> str | None:
 
 
 _FLIP = DistributionSpec("Flip", 1, True, _flip_pmf, _flip_support, _flip_check)
+object.__setattr__(_FLIP, "_flip", True)
 
 
 def _naturals(params, x: float = 0.0) -> Iterator[float]:

@@ -255,6 +255,14 @@ def test_stream_matches_numpy_oracle():
     indices = [0, 1, 2, 63, 2**32 - 1, 2**32, 2**64, 2**127 - 1, 2**200 + 1]
     indices += [rnd.getrandbits(rnd.choice((8, 32, 40, 96))) for _ in range(6)]
     pairs = [(s, i) for s in seeds for i in indices]
+    # the streams of one seed share its cached pool: visit 18 seeds round-robin
+    # (more than the cache holds, so it evicts), among them 4- and 5-word seeds
+    # and seeds whose low 4 words agree, over consecutive and large indices
+    shared = [0, 5, 60902, 2**96 - 1, 2**96, 2**127 + 3, 2**128 - 1, 2**128 + 5]
+    shared += [2**129 + 5, 2**160 + 5, 2**255 + 1, 2**64 * 5 + 5]
+    shared += [rnd.getrandbits(rnd.choice((16, 64, 128, 160))) for _ in range(6)]
+    assert len(set(shared)) == 18
+    pairs += [(s, i) for i in [*range(256), 2**32 - 1, 2**32, 2**64] for s in shared]
     assert len(set(pairs)) >= 300
     draws = 0
     for seed, index in pairs:
@@ -263,6 +271,45 @@ def test_stream_matches_numpy_oracle():
             assert got.uniform() == want.uniform(), (seed, index)
             draws += 1
     assert draws >= 10_000
+
+
+def test_flip_closed_form_matches_the_walk(reg):
+    """Flip's written-out inversion returns what the generic walk over its
+    support returns, bit for bit, for every p in [0, 1] and u in [0, 1)."""
+    from gdlog.distributions import (
+        DistributionSpec,
+        _flip_check,
+        _flip_pmf,
+        _flip_support,
+    )
+
+    class Fixed:
+        def __init__(self, u):
+            self.u = u
+
+        def uniform(self):
+            return self.u
+
+    def bits(draw):
+        return tuple(float(x).hex() for x in draw)
+
+    flip = reg.get("Flip")
+    walk = DistributionSpec("Flip", 1, True, _flip_pmf, _flip_support, _flip_check)
+    assert flip._flip and not walk._flip and walk == flip
+    checked = 0
+    for p in (0.0, 5e-324, 2.0**-53, 0.01, 0.5, 0.9, 1.0 - 2.0**-53, 1.0):
+        for u in (0.0, math.nextafter(p, 0.0), p, math.nextafter(p, 1.0), 1.0 - 2.0**-53):
+            if u < 1.0:  # a uniform is never 1
+                got, want = flip.draw((p,), Fixed(u)), walk.draw((p,), Fixed(u))
+                assert bits(got) == bits(want), (p, u)
+                checked += 1
+    assert checked == 37
+    rnd = random.Random(53)
+    for k in range(10_000):
+        p = rnd.choice((rnd.random(), rnd.random() ** 40, 1.0 - rnd.random() ** 40))
+        seed, index = rnd.getrandbits(32), rnd.getrandbits(rnd.choice((8, 40)))
+        got = flip.draw((p,), RngStream(seed, index))
+        assert bits(got) == bits(walk.draw((p,), RngStream(seed, index))), (p, seed)
 
 
 def test_negative_seed_or_stream_index_rejected():
