@@ -5,12 +5,14 @@ number of failures before the first success). Two demo distributions
 used by the example corpus can be added with ``with_demo_distributions``:
 Dbl (all mass on 2p) and Fork (half on 2p, half on 2p+1).
 
-Sampling is by inversion over the support enumeration order with a
-single uniform draw, so it is bit-reproducible and agrees with the pmf
-by construction. Flip's inversion is written out, ``(1, p)`` if the
-uniform is under p and ``(0, 1 - p)`` otherwise, because Flip is the
-most drawn distribution and the walk over its two values costs twice as
-much; it returns what the walk returns for every p in [0, 1].
+Sampling is by inversion with a single uniform draw over the walk that
+also enumerates a support (``DistributionSpec._walk``): one walk decides
+where a support ends, so a draw is bit-reproducible and lands on a value
+that enumeration lists, with the same pmf. Flip's inversion is written
+out, ``(1, p)`` if the uniform is under p and ``(0, 1 - p)`` otherwise,
+because Flip is the most drawn distribution and the walk over its two
+values costs twice as much; it returns what the walk returns for every
+p in [0, 1].
 """
 from __future__ import annotations
 
@@ -134,9 +136,9 @@ class DistributionSpec(_Record, uncompared=("_pmf", "_support", "_param_problem"
     """One entry of the registry: pmf, support order, parameter domain.
 
     ``support`` yields candidate values in a fixed order with
-    nondecreasing cumulative mass covering the whole support. For
-    infinite supports the iterator is endless; enumeration stops when
-    the requested mass is covered or the float accumulator stalls.
+    nondecreasing cumulative mass covering the whole support; for
+    infinite supports the iterator is endless. ``_walk`` alone ends a
+    support, for draws and enumeration alike.
     """
 
     name: str
@@ -182,43 +184,37 @@ class DistributionSpec(_Record, uncompared=("_pmf", "_support", "_param_problem"
         if self._flip:  # the walk's result: 1 - p > 0 unless p = 1, where u < p
             (p,) = params
             return (1.0, p) if u < p else (0.0, 1.0 - p)
-        cum = 0.0
-        last = None
+        return self._walk(params, math.nextafter(u, 1.0))  # stops at u < cum
+
+    def enumerate_support(self, params, mass_target: float) -> list:
+        """Ordered (value, pmf) pairs with cumulative pmf >= mass_target,
+        as far as ``_walk`` goes: the list is always finite."""
+        if not (0.0 < mass_target <= 1.0):
+            raise DomainError(f"mass_target must be in (0, 1], got {mass_target}")
+        out = []
+        self._walk(self.check_params(params), mass_target, out)
+        return out
+
+    def _walk(self, params: tuple, until: float, out: list | None = None) -> tuple:
+        """The last (value, pmf) of the walk over the support's values of
+        positive mass, appending each to ``out`` if given; DomainError if
+        there is none. It stops at the first cumulative pmf >= ``until``,
+        past the positive tail, or where the float sum stops growing."""
+        cum, last = 0.0, None
         for v in self._support(params):
             p = self._pmf(v, params)
             if p > 0.0:
                 last = v, p
+                if out is not None:
+                    out.append(last)
                 prev, cum = cum, cum + p
-                if u < cum or cum == prev:  # a stalled sum lost the rest to rounding
+                if cum >= until or cum == prev:
                     return last
             elif last is not None:
-                break  # past the positive tail
+                return last  # past the positive tail
         if last is None:
             raise DomainError(f"{self.name}: empty support for params {params}")
-        return last  # u fell into the rounding loss of a support that ended
-
-    def enumerate_support(self, params, mass_target: float) -> list:
-        """Ordered (value, pmf) pairs with cumulative pmf >= mass_target.
-
-        The list is always finite: enumeration also stops once adding
-        further mass no longer changes the float accumulator.
-        """
-        if not (0.0 < mass_target <= 1.0):
-            raise DomainError(f"mass_target must be in (0, 1], got {mass_target}")
-        params = self.check_params(params)
-        out = []
-        cum = 0.0
-        for v in self._support(params):
-            p = self._pmf(v, params)
-            if p > 0.0:
-                out.append((v, p))
-                prev = cum
-                cum += p
-                if cum >= mass_target or cum == prev:
-                    break
-            elif out:
-                break
-        return out
+        return last  # the support ended in the rounding loss under ``until``
 
 
 class Registry:
@@ -379,4 +375,11 @@ def _fork_support(params) -> Iterator[float]:
     yield 2.0 * params[0] + 1.0
 
 
-_FORK = DistributionSpec("Fork", 1, True, _fork_pmf, _fork_support, _finite_check)
+def _fork_check(params) -> str | None:
+    # from 2**52 on, 2p + 1 is not a float: it rounds to 2p or to 2p + 2
+    if (problem := _finite_check(params)) or abs(params[0]) < 2.0**52:
+        return problem
+    return f"parameter p={params[0]} must be in (-2**52, 2**52)"
+
+
+_FORK = DistributionSpec("Fork", 1, True, _fork_pmf, _fork_support, _fork_check)

@@ -353,14 +353,22 @@ def test_domain_error_exit_2(tmp_path, capsys):
     [
         ("Dbl", "S(1e308).", "[x=1e+308]: Dbl: parameter p=1e+308 doubles past"),
         ("Poisson", "S(1e17).", "[x=1e+17]: Poisson: parameter lambda=1e+17 must"),
+        ("Fork", "S(1e16).", "[x=1e+16]: Fork: parameter p=1e+16 must be in"),
+        (
+            "Fork",
+            "S(4503599627370497).",
+            "[x=4503599627370497.0]: Fork: parameter p=4503599627370497.0 must be in",
+        ),
     ],
-    ids=["dbl", "poisson"],
+    ids=["dbl", "poisson", "fork-even", "fork-odd"],
 )
 def test_parameter_past_float_steps_exit_2(tmp_path, command, dist, fact, message):
     """A parameter whose support values overflow (Dbl) or lose the float
-    step of 1.0 (Poisson) is a domain error that names the firing. The
-    command runs in a child process with a timeout: a Poisson walk from
-    1e17 never ends, and a Dbl draw from 1e308 would print ``inf``."""
+    step of 1.0 (Poisson, and Fork's 2p + 1) is a domain error that names
+    the firing. The command runs in a child process with a timeout: a
+    Poisson walk from 1e17 never ends, a Dbl draw from 1e308 would print
+    ``inf``, and a Fork from 1e16 would list 2p twice (a duplicate leaf)
+    and from 2**52 + 1 would list 2p + 2, which Fork never takes."""
     import subprocess
     import sys
     from pathlib import Path

@@ -97,12 +97,19 @@ def test_registry_membership_and_finite_parameters(reg):
 
 def test_doubling_parameters_stay_in_the_float_range(reg):
     """Dbl and Fork reject a parameter whose support values 2p and 2p + 1
-    overflow, so no draw returns ``inf``."""
+    overflow, so no draw returns ``inf``. Fork also rejects |p| >= 2**52,
+    where 2p + 1 is not a float and rounds to 2p or 2p + 2."""
     top = sys.float_info.max / 2  # 2 * top is the largest float
+    dbl, fork = reg.get("Dbl"), reg.get("Fork")
+    for p in (top, -top, 1e300):
+        assert all(math.isfinite(v) for v, _ in dbl.enumerate_support((p,), 1.0))
+        with pytest.raises(DomainError, match=r"^Fork: parameter p=.* 2\*\*52\)$"):
+            fork.check_params((p,))
+    below = math.nextafter(2.0**52, 0.0)
+    for p in (below, -below):
+        assert fork.enumerate_support((p,), 1.0) == [(2 * p, 0.5), (2 * p + 1, 0.5)]
     for name in ("Dbl", "Fork"):
         spec = reg.get(name)
-        for p in (top, -top, 1e300):
-            assert all(math.isfinite(v) for v, _ in spec.enumerate_support((p,), 1.0))
         for p in (math.nextafter(top, math.inf), -1e308):
             with pytest.raises(DomainError, match=rf"^{name}: parameter p=.* doubles "):
                 spec.check_params((p,))
@@ -204,8 +211,20 @@ def test_registry_rejects_duplicate_names():
 
 def test_custom_spec_without_mass_and_with_a_gap():
     # a zero after positive mass ends the support walk, even short of the
-    # mass target; a support with no positive mass cannot be drawn from
+    # mass target or of the uniform; a support that ends with its float sum
+    # short of 1 draws its last value for a uniform above that sum; a support
+    # with no positive mass can be neither drawn from nor enumerated
+    from gdlog.chase import sample_outcome
     from gdlog.distributions import DistributionSpec
+    from gdlog.enumeration import enumerate_outcomes
+    from gdlog.parser import parse_facts, parse_program
+
+    class Fixed:
+        def __init__(self, u):
+            self.u = u
+
+        def uniform(self):
+            return self.u
 
     def spec(name, masses):
         return DistributionSpec(
@@ -220,9 +239,25 @@ def test_custom_spec_without_mass_and_with_a_gap():
     reg = Registry()
     reg.register(spec("Gap", {0.0: 0.0, 1.0: 0.5, 2.0: 0.0, 3.0: 0.5}))
     reg.register(spec("Void", {0.0: 0.0, 1.0: 0.0}))
+    reg.register(spec("Tenths", {float(k): 0.1 for k in range(10)}))
     assert reg.get("Gap").enumerate_support((), 1.0) == [(1.0, 0.5)]
-    with pytest.raises(DomainError, match=r"^Void: empty support for params \(\)$"):
+    for u in (0.0, 0.5, 0.75, 1.0 - 2.0**-53):
+        assert reg.get("Gap").draw((), Fixed(u)) == (1.0, 0.5)
+    tenths = reg.get("Tenths").enumerate_support((), 1.0)
+    assert len(tenths) == 10 and sum(p for _, p in tenths) == 1.0 - 2.0**-53
+    assert reg.get("Tenths").draw((), Fixed(1.0 - 2.0**-53)) == (9.0, 0.1)
+    assert reg.get("Tenths").draw((), Fixed(0.85)) == (8.0, 0.1)
+    empty = r"^Void: empty support for params \(\)$"
+    with pytest.raises(DomainError, match=empty):
         reg.get("Void").draw((), RngStream(0))
+    with pytest.raises(DomainError, match=empty):
+        reg.get("Void").enumerate_support((), 1.0)
+    program = parse_program("edb S/1.\nidb R/1.\nR(Void[]) :- S(x).\n", reg)
+    facts = parse_facts("S(1).\n", program.edb)
+    with pytest.raises(DomainError, match=empty):
+        enumerate_outcomes(program, facts)
+    with pytest.raises(DomainError, match=empty):
+        sample_outcome(program, facts, 0)
 
 
 # -- sampling -----------------------------------------------------------------

@@ -88,7 +88,10 @@ def test_render_rows_matches_old_on_corpus(registry, program, facts, bounded):
     prog = load_program(program + ".gdl", registry)
     edb = load_facts(facts + ".facts", prog)
     engine = ChaseEngine(to_existential(prog))
-    state = _final_state(engine, edb, 7, 300 if bounded else 1_000_000)
+    # the longest fork chain whose values stay below 2**52: a Fork[p] from
+    # there on is a DomainError
+    budget = 104 if program == "fork" else 300 if bounded else 1_000_000
+    state = _final_state(engine, edb, 7, budget)
     assert render_rows(state.facts) == old_facts_json(state.instance())
 
 
