@@ -5,14 +5,15 @@ number of failures before the first success). Two demo distributions
 used by the example corpus can be added with ``with_demo_distributions``:
 Dbl (all mass on 2p) and Fork (half on 2p, half on 2p+1).
 
-Sampling is by inversion with a single uniform draw over the walk that
-also enumerates a support (``DistributionSpec._walk``): one walk decides
-where a support ends, so a draw is bit-reproducible and lands on a value
-that enumeration lists, with the same pmf. Flip's inversion is written
-out, ``(1, p)`` if the uniform is under p and ``(0, 1 - p)`` otherwise,
-because Flip is the most drawn distribution and the walk over its two
-values costs twice as much; it returns what the walk returns for every
-p in [0, 1].
+Sampling is by inversion with a single uniform draw over the walk that also
+enumerates a support (``DistributionSpec._walk``): one walk decides where a
+support ends, so a draw is bit-reproducible and lands on a value that
+enumeration lists, with the same pmf. Flip's inversion is written out,
+``(1, p)`` if the uniform is under p and ``(0, 1 - p)`` otherwise, because Flip
+is the most drawn distribution and the walk over its two values costs twice as
+much; it returns what the walk returns for every p in [0, 1]. Parameters under
+which a finite support has no mass fail ``check_params``; an infinite support
+must have mass somewhere, or a draw never ends.
 """
 from __future__ import annotations
 
@@ -160,10 +161,12 @@ class DistributionSpec(_Record, uncompared=("_pmf", "_support", "_param_problem"
                 raise DomainError(
                     f"{self.name}: parameter {p!r} is symbolic, must be numeric"
                 )
-        problem = self._param_problem(params)
-        if problem:
+        if problem := self._param_problem(params):
             raise DomainError(f"{self.name}: {problem}")
-        return tuple(float(p) for p in params)
+        params = tuple(float(p) for p in params)
+        if not self._flip and self.finite_support:
+            self._walk(params, 0.0)  # DomainError if no value has mass
+        return params
 
     def pmf(self, value: float, params) -> float:
         """Probability mass at ``value``; 0 outside the support, as for a symbol."""
@@ -273,7 +276,7 @@ def _flip_support(params) -> Iterator[float]:
 
 def _flip_check(params) -> str | None:
     (p,) = params
-    if not (0.0 <= p <= 1.0) or math.isnan(p):
+    if not (0.0 <= p <= 1.0):
         return f"parameter p={p} must be in [0, 1]"
     return None
 
@@ -300,16 +303,12 @@ def _poisson_pmf(x: float, params) -> float:
 
 
 def _poisson_support(params) -> Iterator[float]:
-    """The naturals from the last value whose log pmf, rising up to the mode,
-    is under -800: ``exp`` underflows to 0.0 under about -745.2, so each value
-    skipped has pmf exactly 0.0 and adds no mass to a draw or enumeration."""
+    """The naturals from max(0, floor(lam + 800/3 - 40 sqrt(lam + 400/9))): by
+    Bernstein's bound on the rate function the log pmf there, and before, is at
+    most -800: ``exp`` gives 0.0 under -745.2, a margin over the formula's rounding."""
     (lam,) = params
-    lo, hi = 0, math.floor(lam)
-    while hi - lo > 1:  # lo is 0 or has log pmf under -800; hi has not
-        mid = (lo + hi) // 2
-        low = mid * math.log(lam) - lam - math.lgamma(mid + 1.0) < -800.0
-        lo, hi = (mid, hi) if low else (lo, mid)
-    return _naturals(params, float(lo))
+    start = math.floor(lam + 800.0 / 3.0 - 40.0 * math.sqrt(lam + 400.0 / 9.0))
+    return _naturals(params, float(max(0, start)))
 
 
 def _poisson_check(params) -> str | None:
@@ -336,7 +335,7 @@ def _geo_pmf(x: float, params) -> float:
 def _geo_check(params) -> str | None:
     (p,) = params
     # p = 0 is rejected: the pmf would be identically zero.
-    if not (0.0 < p <= 1.0) or math.isnan(p):
+    if not (0.0 < p <= 1.0):
         return f"parameter p={p} must be in (0, 1]"
     return None
 

@@ -1,12 +1,15 @@
 """``DistributionSpec.draw`` and ``enumerate_support`` as two loops over a
 support, each with its own stop rules, before both went through one walk
-(``DistributionSpec._walk``).
+(``DistributionSpec._walk``); and Poisson's support start as it was found
+by bisection, before it became a closed-form bound.
 
-Differential oracle for ``tests/test_walk_oracle.py``. Each function takes
-the spec whose ``_support`` and ``_pmf`` it walks, and the same arguments
-as the method it stands for.
+Differential oracle for ``tests/test_walk_oracle.py`` and, for the start,
+``tests/test_distributions.py``. Each loop takes the spec whose ``_support``
+and ``_pmf`` it walks, and the same arguments as the method it stands for.
 """
 from __future__ import annotations
+
+import math
 
 from gdlog.distributions import DomainError
 
@@ -49,3 +52,14 @@ def enumerate_support(spec, params, mass_target: float) -> list:
         elif out:
             break
     return out
+
+
+def poisson_start(lam: float) -> int:
+    """The last natural whose log pmf, rising up to the mode, is under -800,
+    found by bisection over the pmf's log formula; 0 if there is none."""
+    lo, hi = 0, math.floor(lam)
+    while hi - lo > 1:  # lo is 0 or has log pmf under -800; hi has not
+        mid = (lo + hi) // 2
+        low = mid * math.log(lam) - lam - math.lgamma(mid + 1.0) < -800.0
+        lo, hi = (mid, hi) if low else (lo, mid)
+    return lo

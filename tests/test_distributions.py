@@ -11,6 +11,7 @@ import scipy.stats
 from gdlog.distributions import DomainError, Registry, RngStream
 from gdlog.model import GdlogError
 
+import old_walks
 from numpy_rng import NumpyRngStream
 
 
@@ -126,6 +127,11 @@ def test_poisson_mean_below_2_pow_52(reg):
     for lam in (2.0**52, 1e17, math.inf, math.nan):
         with pytest.raises(DomainError, match=r"lambda=.* must be in \(0, 2\*\*52\)$"):
             spec.check_params((lam,))
+    # a NaN fails every chained comparison, so each check rejects it
+    with pytest.raises(DomainError, match=r"^Flip: parameter p=nan must be in \[0, 1\]$"):
+        reg.get("Flip").check_params((math.nan,))
+    with pytest.raises(DomainError, match=r"^Geo: parameter p=nan must be in \(0, 1\]$"):
+        reg.get("Geo").check_params((math.nan,))
     lam = 2.0**52 - 1.0
     assert spec.check_params((lam,)) == (lam,)
     support = _poisson_support((lam,))
@@ -213,11 +219,21 @@ def test_custom_spec_without_mass_and_with_a_gap():
     # a zero after positive mass ends the support walk, even short of the
     # mass target or of the uniform; a support that ends with its float sum
     # short of 1 draws its last value for a uniform above that sum; a support
-    # with no positive mass can be neither drawn from nor enumerated
-    from gdlog.chase import sample_outcome
+    # with no positive mass fails the parameter check, so every chase names
+    # the firing, while the spec's own calls keep the bare message
+    from gdlog.chase import (
+        ChaseEngine,
+        applicable_firings,
+        chase_step,
+        replay_weight,
+        sample_outcome,
+    )
     from gdlog.distributions import DistributionSpec
-    from gdlog.enumeration import enumerate_outcomes
+    from gdlog.enumeration import cylinder_mass, enumerate_outcomes
+    from gdlog.model import Fact
     from gdlog.parser import parse_facts, parse_program
+    from gdlog.ppdl import estimate_posterior, exact_posterior
+    from gdlog.translate import to_existential
 
     class Fixed:
         def __init__(self, u):
@@ -247,17 +263,35 @@ def test_custom_spec_without_mass_and_with_a_gap():
     assert len(tenths) == 10 and sum(p for _, p in tenths) == 1.0 - 2.0**-53
     assert reg.get("Tenths").draw((), Fixed(1.0 - 2.0**-53)) == (9.0, 0.1)
     assert reg.get("Tenths").draw((), Fixed(0.85)) == (8.0, 0.1)
+    void = reg.get("Void")
     empty = r"^Void: empty support for params \(\)$"
-    with pytest.raises(DomainError, match=empty):
-        reg.get("Void").draw((), RngStream(0))
-    with pytest.raises(DomainError, match=empty):
-        reg.get("Void").enumerate_support((), 1.0)
+    for call in (
+        lambda: void.check_params(()),
+        lambda: void.pmf(0.0, ()),
+        lambda: void.sample((), RngStream(0)),
+        lambda: void.enumerate_support((), 1.0),
+        lambda: void.draw((), RngStream(0)),  # unchecked: the walk's own guard
+    ):
+        with pytest.raises(DomainError, match=empty):
+            call()
     program = parse_program("edb S/1.\nidb R/1.\nR(Void[]) :- S(x).\n", reg)
     facts = parse_facts("S(1).\n", program.edb)
-    with pytest.raises(DomainError, match=empty):
-        enumerate_outcomes(program, facts)
-    with pytest.raises(DomainError, match=empty):
-        sample_outcome(program, facts, 0)
+    engine = ChaseEngine(to_existential(program))
+    state = engine.initial_state(facts)
+    (firing,) = applicable_firings(state, engine)
+    named = r"^rule 0 \[x=1\.0\]: Void: empty support for params \(\)$"
+    for call in (
+        lambda: sample_outcome(program, facts, 0),
+        lambda: enumerate_outcomes(program, facts),
+        lambda: exact_posterior(program, facts),
+        lambda: estimate_posterior(program, facts, Fact("R", (0.0,)), 3, 0),
+        lambda: replay_weight(program, facts, facts),
+        lambda: cylinder_mass(program, facts, ()),
+        lambda: chase_step(state.copy(), firing, engine, choice=0.0),
+        lambda: chase_step(state.copy(), firing, engine, rng=RngStream(0)),
+    ):
+        with pytest.raises(DomainError, match=named):
+            call()
 
 
 # -- sampling -----------------------------------------------------------------
@@ -414,7 +448,10 @@ def test_sampler_pmf_agreement_chi_square(reg, name, params):
 
 # -- Poisson support start ----------------------------------------------------
 
-POISSON_MEANS = (0.5, 1.0, 3.0, 10.0, 100.0, 745.0, 800.0, 801.0, 1e3, 1e4, 1e5)
+# 1,070 is where the closed-form start first leaves 0; just past it (74
+# values at 1,071.5) it starts furthest before the bisection's start
+POISSON_MEANS = (0.5, 1.0, 3.0, 10.0, 100.0, 745.0, 800.0, 801.0, 1e3, 1060.0, 1070.0)
+POISSON_MEANS += (1107.0, 1170.0, 1600.0, 2000.0, 1e4, 1e5)
 
 
 def _old_poisson():
@@ -453,7 +490,7 @@ def test_poisson_support_skips_only_values_without_mass(reg, lam):
 
     start = next(_poisson_support((lam,)))
     assert all(_poisson_pmf(float(x), (lam,)) == 0.0 for x in range(int(start)))
-    assert (start > 0.0) is (lam >= 1e3)  # log pmf(0) = -lam: none skipped
+    assert (start > 0.0) is (lam >= 1070.0)  # log pmf(0) = -lam: none skipped
     # draws: the old spec itself on a few streams, its walk's table on 300
     old, new = _old_poisson(), reg.get("Poisson")
     for i in range(3):
@@ -474,3 +511,39 @@ def test_large_poisson_mean_starts_near_its_mass():
     for lam in (1e6, 1e8):
         start = next(_poisson_support((lam,)))
         assert lam - 50.0 * math.sqrt(lam) < start < lam - 30.0 * math.sqrt(lam)
+
+
+def _stirling_log_pmf(x: float, lam: float) -> float:
+    """Poisson's log pmf at a natural x >= 1 below a mean under 2**52, within
+    1/(360 x**3) + 1e-6: x log(lam / x) - (lam - x) with Stirling's series to
+    1/(12x), where ``log1p`` keeps the cancelling terms accurate."""
+    d = lam - x
+    stirling = 0.5 * math.log(2.0 * math.pi * x) + 1.0 / (12.0 * x)
+    return x * math.log1p(d / x) - d - stirling
+
+
+def test_poisson_start_is_a_bound_under_the_mass():
+    """Over a log grid of means up to 2**52 - 1, the closed-form start has
+    an accurate log pmf under -800 and a computed pmf of 0.0, and the pmf is
+    0.0 at values sampled between it and the bisection's start. The closed
+    form starts at or before the bisection, except above 1e15: there the log
+    formula rounds by up to about 31, more than the bound's slack of about 18
+    (Stirling's -log(2 pi x) / 2), so the bisection, which reads that formula,
+    can stop up to about 0.2 sqrt(lam) before the closed form."""
+    from gdlog.distributions import _poisson_pmf, _poisson_support
+
+    means = [10.0 ** (k / 100) for k in range(-300, 1566)] + [2.0**52 - 1.0]
+    above = 0
+    for lam in means:
+        start, old = next(_poisson_support((lam,))), old_walks.poisson_start(lam)
+        if start > 0.0:
+            assert _stirling_log_pmf(start, lam) <= -800.0, lam
+            assert _poisson_pmf(start, (lam,)) == 0.0, lam
+        lo, hi = sorted((int(start), old))
+        for j in range(33 if hi > 0 else 0):
+            x = float(lo + (hi - lo) * j // 32)
+            assert _poisson_pmf(x, (lam,)) == 0.0, (lam, x)
+        if start > old:
+            assert lam > 1e15, lam
+            above += 1
+    assert len(means) == 1867 and above < 10

@@ -99,8 +99,14 @@ def _corpus_cases():
 
 
 # the README's sample (burglar, seed 7) and enumerate (pdb) examples are
-# among the corpus cases
-CASES = README_CASES + list(_corpus_cases())
+# among the corpus cases; a fork sample that stops at its budget, short of
+# the 106th step, pins the fork chain's draws
+CASES = README_CASES + list(_corpus_cases()) + [
+    ("sample_fork_budget100", 0, [
+        "sample", "corpus/fork.gdl", "--edb", "corpus/chain.facts",
+        "--seed", "7", "--budget", "100",
+    ]),
+]
 
 
 def _run(argv) -> tuple:
