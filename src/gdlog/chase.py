@@ -43,16 +43,15 @@ cylinder masses force it from a target fact set, which is also their
 ``heads`` (``forced_mass``).
 
 Draw weights are accumulated in log space while a run is in flight. Each
-state also keeps a ledger of its draws' pmfs, taken when the draw fires
-and kept sorted by (relation, key); the probability attached to an
-outcome is the product read from that ledger in its canonical order, so
-it does not depend on the order in which the chase happened to fire
-rules.
+state also keeps a ledger of its draws' pmfs under their raw (relation,
+FD key), taken when the draw fires and merged in the canonical order of
+``_sorted_canonical`` on the next read; the probability attached to an
+outcome is the product read from that ledger, so it does not depend on
+the order in which the chase happened to fire rules.
 """
 from __future__ import annotations
 
 import math
-from bisect import insort
 from collections import Counter, deque
 from operator import itemgetter
 
@@ -101,6 +100,12 @@ def _mix(a: int, b: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
     return z ^ (z >> 31)
+
+
+def _draw_key(entry) -> tuple:
+    # the canonical key, built only where plain comparison raises
+    (rel, key), _ = entry
+    return (rel, _row_key(key))
 
 
 class Firing(_Record):
@@ -162,8 +167,8 @@ class ChaseState:
         self.pending = deque()  # of (rule rank, slot tuple)
         # relation -> bound positions -> (key getter, {key: [rows]})
         self.index: dict = {}
-        self.ledger: list = []  # ((distrel name, key sort key), pmf), sorted
-        self.draws: list = []  # (distrel name, key, pmf) not yet in the ledger
+        self.ledger: list = []  # ((distrel name, FD key), pmf), canonical order
+        self.draws: list = []  # the same entries, not yet in the ledger
         self.steps = 0
         self.pops = 0  # random pops, which seed the next one
         self.owned: set = set()  # relations no other state references
@@ -215,17 +220,10 @@ class ChaseState:
 
     def canonical_draws(self) -> list:
         """The ledger: every draw's pmf in canonical (relation, key) order."""
-        draws = self.draws
-        if draws:
-            if len(draws) == 1:
-                rel, key, p = draws[0]
-                insort(self.ledger, ((rel, _row_key(key)), p))
-            else:
-                self.ledger.extend(
-                    ((rel, _row_key(key)), p) for rel, key, p in draws
-                )
-                self.ledger.sort()
-            draws.clear()
+        if self.draws:
+            self.ledger.extend(self.draws)
+            self.draws.clear()
+            self.ledger = _sorted_canonical(self.ledger, _draw_key, itemgetter(0))
         return self.ledger
 
     def fact_count(self) -> int:
@@ -592,7 +590,7 @@ class ChaseEngine:
             obls = state.obls.setdefault(rel, {})
             assert key not in obls, "functional dependency would be violated"
             obls[key] = value
-            state.draws.append((rel, key, weight))
+            state.draws.append(((rel, key), weight))
         state.steps += 1
         self._discover(state, rel, row)
         if self.check_invariants:
@@ -614,10 +612,10 @@ class ChaseEngine:
             dr = self.distrel_by_name[name]
             spec = self.ghat.dists.get(dr.dist)
             ledger.extend(
-                ((name, _row_key(key)), spec.pmf(value, dr.params(key)))
+                ((name, key), spec.pmf(value, dr.params(key)))
                 for key, value in obls.items()
             )
-        ledger.sort()
+        ledger = _sorted_canonical(ledger, _draw_key, itemgetter(0))
         if ledger != state.canonical_draws():
             raise AssertionError("draw ledger out of sync")
         # rebuild every join index from the raw fact sets

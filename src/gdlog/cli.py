@@ -99,7 +99,7 @@ def _load_program(args):
     dists = Registry.with_demo_distributions()
     path = Path(args.program)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         raise GdlogError(f"{path}: {e}") from e
     program = parse_program(text, dists, str(path))
@@ -119,10 +119,10 @@ def _load_edb(args, program):
         try:
             rel, eq, csv_path = src.partition("=")
             if eq and rel.isidentifier():
-                with open(csv_path, newline="", encoding="utf-8") as fh:
+                with open(csv_path, newline="", encoding="utf-8-sig") as fh:
                     facts |= load_edb_csv(rel, fh, program.edb)
             else:
-                text = Path(src).read_text(encoding="utf-8")
+                text = Path(src).read_text(encoding="utf-8-sig")
                 facts |= parse_facts(text, program.edb, src)
         except UnicodeDecodeError as e:
             raise GdlogError(f"{src}: {e}") from e

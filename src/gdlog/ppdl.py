@@ -56,8 +56,8 @@ _EXHAUSTED, _REJECTED, _ACCEPTED, _HIT = range(4)  # the classes of a leaf
 
 
 class UndeterminedLegality(IllegalInput):
-    """No explored outcome satisfies the constraints, but unexplored mass
-    remains, so legality cannot be decided at this exploration depth."""
+    """No explored outcome satisfies a program's constraints, but unexplored
+    mass remains, so legality cannot be decided at this exploration depth."""
 
 
 class _CompiledConstraint:
@@ -154,7 +154,7 @@ def _condition(p: Program, input_facts, policy) -> tuple:
     leaves, explored, residual, dropped = _explore(
         p, input_facts, policy, lambda e: _observations(p, e)
     )
-    if explored <= LEGALITY_THRESHOLD:
+    if p.constraints and explored <= LEGALITY_THRESHOLD:
         if residual < LEGALITY_THRESHOLD:
             raise IllegalInput(
                 "no possible outcome satisfies the constraints: "
@@ -175,12 +175,13 @@ def exact_posterior(
     """Enumerate the prior, checking each leaf's chase state in place as
     it is reached, and renormalize by the retained mass.
 
-    If nothing is retained the input is illegal (raises IllegalInput),
-    unless unexplored mass remains, which raises UndeterminedLegality
-    instead. When no outcome is filtered away the prior is returned
-    unchanged. Conditioning is exact only when the prior was fully
-    explored; with positive residual the result is conditioned on the
-    explored region and the prior residual is not redistributed.
+    If the program has constraints and nothing is retained, the input is
+    illegal (raises IllegalInput), or undetermined (UndeterminedLegality)
+    if unexplored mass remains. When no outcome is filtered away, as
+    always without constraints, the prior is returned unchanged.
+    Conditioning is exact only when the prior was fully explored; with
+    positive residual the result is conditioned on the explored region
+    and the prior residual is not redistributed.
     """
     return _distribution(*_condition(p, input_facts, policy))
 

@@ -248,6 +248,33 @@ def test_undetermined_legality_exit_4(tmp_path, capsys):
     assert "undetermined" in err
 
 
+def test_unexplored_program_without_constraints_exit_0(capsys):
+    """Nothing explored is no legality problem when nothing is observed:
+    the bounds are the trivial ones."""
+    code, out, err = run(
+        capsys,
+        "infer",
+        CORPUS / "burglar.gdl",
+        "--edb",
+        CORPUS / "burglar.facts",
+        "--query",
+        'Earthquake("Napa", 1)',
+        "--mode",
+        "exact",
+        "--nodes",
+        "1",
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "explored_mass": 0.0,
+        "mode": "exact",
+        "point": 0.0,
+        "point_upper": 1.0,
+        "query": 'Earthquake("Napa", 1)',
+        "residual_mass": 1.0,
+    }
+
+
 def test_parse_error_exit_1(tmp_path, capsys):
     prog = tmp_path / "broken.gdl"
     prog.write_text("idb R/1.\nR(x) :- Missing(x).\n")
@@ -335,6 +362,48 @@ def test_non_utf8_csv_exit_1(tmp_path, capsys):
     code, out, err = _sample_e(tmp_path, capsys, "--edb", f"E={csv}")
     assert code == 1 and out == ""
     assert _single_error(err, _NOT_UTF8.format("e.csv"))
+
+
+@pytest.mark.parametrize("bom_in", ["program", "facts", "csv"])
+def test_leading_byte_order_mark_is_skipped(tmp_path, capsys, bom_in):
+    """The U+FEFF that spreadsheets and editors write at the start of a
+    UTF-8 file is not part of its first token or cell."""
+    rest = "".join(
+        line + "\n"
+        for line in (CORPUS / "burglar.facts").read_text().splitlines()
+        if not line.startswith("City(")
+    )
+    texts = {
+        "program": (CORPUS / "burglar.gdl").read_text(),
+        "facts": rest,
+        "csv": "Napa,0.03\nYucaipa,0.01\n",
+    }
+    outs = []
+    for bom in (False, True):
+        d = tmp_path / str(bom)
+        d.mkdir()
+        paths = {}
+        for kind, text in texts.items():
+            paths[kind] = d / kind
+            enc = "utf-8-sig" if bom and kind == bom_in else "utf-8"
+            paths[kind].write_text(text, encoding=enc)
+        assert paths[bom_in].read_bytes().startswith(b"\xef\xbb\xbf") is bom
+        code, out, err = run(
+            capsys, "sample", paths["program"], "--edb", paths["facts"],
+            "--edb", f"City={paths['csv']}", "--seed", "5",
+        )
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert 'City("Napa", 0.03)' in json.loads(outs[1])["facts"]
+
+
+def test_byte_order_mark_after_the_start_exit_1(tmp_path, capsys):
+    prog = tmp_path / "e.gdl"
+    prog.write_text("edb E/1.\nidb R/1.\nR(x) :- E(x).\n\ufeff// x\n")
+    code, out, err = run(capsys, "sample", prog, "--seed", "1")
+    assert code == 1 and out == ""
+    assert _single_error(err, "e.gdl:4:1: unexpected character '\\ufeff'")
 
 
 def test_domain_error_exit_2(tmp_path, capsys):

@@ -116,6 +116,15 @@ def test_no_constraints_returns_prior_bit_identical(burglar, burglar_edb):
     assert dist_as_json(prior) == dist_as_json(posterior)
 
 
+def test_no_constraints_and_nothing_explored_returns_prior(burglar, burglar_edb):
+    # no legality problem without constraints, even with no leaf reached
+    policy = EnumerationPolicy(node_budget=1)
+    prior = enumerate_outcomes(burglar, burglar_edb, policy)
+    posterior = exact_posterior(burglar, burglar_edb, policy)
+    assert posterior.entries == () and posterior.residual_mass == 1.0
+    assert dist_as_json(prior) == dist_as_json(posterior)
+
+
 def test_edb_only_constraint_dichotomy(registry, burglar_edb):
     # constraints over EDB relations hold in every outcome or in none
     from gdlog.parser import render_program
