@@ -108,6 +108,14 @@ def _draw_key(entry) -> tuple:
     return (rel, _row_key(key))
 
 
+def _log_mass(ledger) -> float:
+    """The log probability of a draw ledger, summed in its order."""
+    s = 0.0
+    for _, p in ledger:
+        s += math.log(p)
+    return s
+
+
 class Firing(_Record):
     """A rule index plus a body binding, in a hashable public form."""
 
@@ -669,10 +677,7 @@ class ChaseEngine:
         return m
 
     def canonical_log_mass(self, state: ChaseState) -> float:
-        s = 0.0
-        for _, p in state.canonical_draws():
-            s += math.log(p)
-        return s
+        return _log_mass(state.canonical_draws())
 
     def outcome(self, state: ChaseState, terminated: str) -> Outcome:
         return Outcome(state.instance(), self.canonical_log_mass(state), terminated)

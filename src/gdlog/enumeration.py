@@ -9,10 +9,10 @@ sums, ties broken by sorted row keys), which makes the output
 reproducible bit-for-bit across scheduling policies and logically
 equivalent rule sets.
 
-The loop keeps each leaf as its chase state's rows (relation -> frozenset
-of rows) with its masses, and ``_ordered`` puts the leaves in output order.
-The CLI renders each leaf's rows directly; only the library's
-``OutcomeDistribution`` builds ``Fact`` objects.
+The loop keeps each leaf as its chase state's own rows (relation -> set
+of rows), probability and draw ledger, and ``_ordered`` puts the leaves
+in output order. The CLI renders each leaf's rows directly; only the
+library's ``OutcomeDistribution`` builds ``Fact`` objects and log masses.
 
 A branch point copies its state for every value of the support but the
 last, whose child continues in the parent's state; a copy shares the rows
@@ -29,7 +29,7 @@ import gc
 import heapq
 import math
 
-from .chase import BUDGET_EXHAUSTED, LEAF, ChaseEngine, Outcome
+from .chase import BUDGET_EXHAUSTED, LEAF, ChaseEngine, Outcome, _log_mass
 from .model import Fact, GdlogError, Program, _Record, _row_key, _sorted_canonical
 from .translate import to_existential
 
@@ -97,11 +97,18 @@ def enumerate_outcomes(
 
 def _explore(g: Program, input_facts, policy, observe=None) -> tuple:
     """The enumeration loop; returns (leaves, explored mass, residual mass,
-    leaves dropped). Each leaf is (rows, probability, log probability),
-    where rows maps each relation of the leaf's chase state to a frozenset
-    of its rows. A leaf whose chase state fails the test ``observe(engine)``
-    returns is dropped as soon as it is reached, before its masses are
-    computed."""
+    leaves dropped). Each leaf is (rows, probability, draw ledger): its
+    chase state's own ``facts`` (relation -> set of rows) and
+    ``canonical_draws()``. A leaf whose chase state fails the test
+    ``observe(engine)`` returns is dropped as soon as it is reached.
+
+    A leaf keeps its state's sets and ledger uncopied: a state writes only
+    the sets it owns and its own ledger, ``copy`` drops ownership on both
+    sides, ``own`` replaces a set and never mutates a shared one, and a
+    leaf state is never branched again. Leaves are distinct: each support's
+    values are (asserted when it is enumerated), so two leaves part at a
+    branch on one FD key with different values, which the functional-
+    dependency assert in ``apply`` keeps in both."""
     if policy is None:
         policy = EnumerationPolicy()
     engine = ChaseEngine(
@@ -110,8 +117,7 @@ def _explore(g: Program, input_facts, policy, observe=None) -> tuple:
     keep = observe(engine) if observe is not None else None
     root = engine.initial_state(input_facts)
     dropped = 0
-    leaves: list = []  # of (rows, probability, log probability)
-    seen: set = set()  # each leaf's rows as one frozenset
+    leaves: list = []  # of (rows, probability, draw ledger)
     residual_parts: list = []
     supports: dict = {}  # (rule index, parameters) -> (support, its tail)
     steps = 0
@@ -137,13 +143,7 @@ def _explore(g: Program, input_facts, policy, observe=None) -> tuple:
                 if keep is not None and not keep(state):
                     dropped += 1
                     continue
-                # frozen rows serve as the leaf and as its duplicate check,
-                # and let the state's own sets go
-                rows = {r: frozenset(v) for r, v in state.facts.items() if v}
-                frozen = frozenset(rows.items())
-                assert frozen not in seen, "chase tree produced a duplicate leaf"
-                seen.add(frozen)
-                leaves.append((rows, mass, engine.canonical_log_mass(state)))
+                leaves.append((state.facts, mass, state.canonical_draws()))
                 continue
             if stop is BUDGET_EXHAUSTED:
                 residual_parts.append(mass)
@@ -160,6 +160,8 @@ def _explore(g: Program, input_facts, policy, observe=None) -> tuple:
                     target = min(target, policy.support_mass_target)
                 checked = engine.checked_params(rule, slots, key)
                 support = rule.spec.enumerate_support(checked, target)
+                values = {v for v, _ in support}
+                assert len(values) == len(support), "support repeats a value"
                 tail = 1.0 - math.fsum(p for _, p in support)
                 memo = supports[rule.index, params] = support, tail
             support, tail = memo
@@ -204,12 +206,13 @@ def _ordered(leaves):
 
 def _distribution(leaves, explored, residual, norm=1.0) -> OutcomeDistribution:
     """The leaves of ``_explore`` as outcomes in ``_ordered`` order, each
-    probability divided by ``norm``. The order is taken before the
-    division, which can round distinct masses to one value."""
+    with its ledger's log probability and its probability divided by
+    ``norm``. The order is taken before the division, which can round
+    distinct masses to one value."""
     entries = []
-    for rows, p, log_p in _ordered(leaves):
+    for rows, p, draws in _ordered(leaves):
         facts = frozenset(Fact(rel, row) for rel, row in _facts(rows))
-        entries.append((Outcome(facts, log_p, LEAF), p / norm))
+        entries.append((Outcome(facts, _log_mass(draws), LEAF), p / norm))
     return OutcomeDistribution(tuple(entries), explored, residual)
 
 

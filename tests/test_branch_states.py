@@ -6,7 +6,9 @@ paused around the walk.
 of them writes it. On ``randprog`` programs, with every step's invariants
 re-verified, ``_explore`` must return exactly what it returns when every
 copy is ``old_copy``, which shares nothing, and the Monte Carlo walk what
-the old sampling loop returns over ``old_copy`` copies.
+the old sampling loop returns over ``old_copy`` copies. A leaf keeps its
+state's row sets uncopied; the per-leaf freeze and duplicate check that
+``_explore`` once made are kept here as the oracle for that.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from types import SimpleNamespace
 import pytest
 
 from gdlog import enumeration, ppdl
-from gdlog.chase import ChaseEngine, ChaseState
+from gdlog.chase import LEAF, ChaseEngine, ChaseState
 from gdlog.distributions import DomainError, RngStream
 from gdlog.enumeration import EnumerationPolicy, _explore, enumerate_outcomes
 from gdlog.model import GdlogError
@@ -71,6 +73,50 @@ def test_explore_matches_old_copy(registry, monkeypatch):
                 dropped += got[3]
     # not vacuous: many leaves are kept, and some are dropped
     assert leaves > 500 and dropped > 50, (leaves, dropped)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_leaves_keep_the_rows_they_ended_with(registry, monkeypatch, order):
+    """A leaf keeps its chase state's own row sets, which copy-on-write
+    states may share. Each leaf's rows are frozen when ``run_to_branch``
+    reaches it, as ``_explore`` once froze every kept leaf: after the walk
+    every kept leaf's rows must still equal that snapshot, and no two
+    leaves reached, kept or dropped, may share one."""
+    reached = {}  # id of a leaf's rows -> (those rows, their snapshot)
+    run_to_branch = ChaseEngine.run_to_branch
+
+    def freezing(engine, state, step_budget):
+        stop = run_to_branch(engine, state, step_budget)
+        if stop is LEAF:
+            frozen = {r: frozenset(v) for r, v in state.facts.items() if v}
+            reached[id(state.facts)] = state.facts, frozen
+        return stop
+
+    monkeypatch.setattr(ChaseEngine, "run_to_branch", freezing)
+    rnd = random.Random(4848)
+    kept = dropped = shared = 0
+    for seed in SEEDS:
+        program, facts = random_program(random.Random(seed), registry)
+        observe = None
+        if seed % 2:
+            program = _constrained(rnd, program)
+            observe = partial(_observations, program)
+        for budget in (1, 6, 40, 200):
+            reached.clear()
+            policy = EnumerationPolicy(node_budget=budget, order=order, order_seed=seed)
+            leaves = _explore(program, facts, policy, observe)[0]
+            for rows, _, _ in leaves:
+                held, frozen = reached[id(rows)]
+                assert rows is held and rows == frozen
+            snapshots = {frozenset(f.items()) for _, f in reached.values()}
+            assert len(snapshots) == len(reached)  # no duplicate leaf
+            kept += len(leaves)
+            dropped += len(reached) - len(leaves)
+            sets = Counter(id(v) for rows, _, _ in leaves for v in rows.values())
+            shared += sum(n > 1 for n in sets.values())
+    # not vacuous: many leaves are kept, some dropped, and many of the kept
+    # leaves' sets are shared
+    assert kept > 500 and dropped > 50 and shared > 100, (kept, dropped, shared)
 
 
 def test_estimate_matches_old_loop_with_old_copy(registry, monkeypatch):

@@ -133,9 +133,10 @@ def test_infer_exact(capsys):
 
 def test_infer_exact_builds_no_facts(capsys, monkeypatch):
     """Exact inference reads masses and query membership from the leaf
-    chase states: it never turns a state into ``Fact`` objects, and never
+    chase states: it never turns a state into ``Fact`` objects, never
     builds or sorts the entries of an ``OutcomeDistribution`` (which is
-    where enumeration makes facts and their tie-break keys)."""
+    where enumeration makes facts and their tie-break keys), and never
+    takes a log mass."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("exact inference built facts")
@@ -143,6 +144,8 @@ def test_infer_exact_builds_no_facts(capsys, monkeypatch):
     monkeypatch.setattr("gdlog.chase.ChaseState.instance", forbidden)
     monkeypatch.setattr("gdlog.enumeration._distribution", forbidden)
     monkeypatch.setattr("gdlog.ppdl._distribution", forbidden)
+    monkeypatch.setattr("gdlog.chase.ChaseEngine.canonical_log_mass", forbidden)
+    monkeypatch.setattr("gdlog.enumeration._log_mass", forbidden)
     code, out, _ = run(
         capsys,
         "infer",

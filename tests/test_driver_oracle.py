@@ -7,11 +7,14 @@ subsets of their derived facts, and sets with one tampered fact must
 get the same mass (compared with ``==``) or the same rejection reason
 from both, and enumeration must render the same JSON bytes. The masses
 read from a state's draw ledger must equal, bit for bit, the old ones
-recomputed from its drawn facts. With random constraints added,
+recomputed from its drawn facts, and each enumerated outcome's log mass,
+which only the library's distributions read from a leaf's ledger, the
+old loop's bit for bit. With random constraints added,
 ``exact_posterior``, which checks each leaf's chase state in place, must
-return the same posterior or raise the same error as the old
-conditioning of the enumerated prior's fact sets, and the exact-infer
-helper, which reads a query from the leaf rows, the same marginal bounds.
+return the same posterior, log masses bit for bit, or raise the same
+error as the old conditioning of the enumerated prior's fact sets, and
+the exact-infer helper, which reads a query from the leaf rows, the same
+marginal bounds.
 The Monte Carlo walk down a shared chase tree must give the same estimate
 as chasing every sample from the start, or raise the same error on the
 same sample.
@@ -181,7 +184,9 @@ def _posterior(condition, program, facts, policy):
         dist = condition(program, facts, policy)
     except GdlogError as e:
         return type(e), str(e)
-    return dist.entries, dist.explored_mass, dist.residual_mass
+    # Outcome equality compares log masses with ==, which equates 0.0 and -0.0
+    log_masses = [o.log_probability.hex() for o, _ in dist.entries]
+    return dist.entries, dist.explored_mass, dist.residual_mass, log_masses
 
 
 def test_exact_posterior_matches_old_conditioning(registry):

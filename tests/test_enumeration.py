@@ -88,7 +88,7 @@ def test_renormalised_entries_keep_the_prior_order():
     # the larger prior mass stays first although its facts sort last
     low, high = 0.45, math.nextafter(0.45, 1.0)
     assert low / 0.8 == high / 0.8
-    leaves = [({"A": {(0.0,)}}, low, 0.0), ({"A": {(1.0,)}}, high, 0.0)]
+    leaves = [({"A": {(0.0,)}}, low, []), ({"A": {(1.0,)}}, high, [])]
     dist = _distribution(leaves, 1.0, 0.0, 0.8)
     assert [sorted(o.facts)[0].args for o, _ in dist.entries] == [(1.0,), (0.0,)]
     assert [p for _, p in dist.entries] == [0.5625, 0.5625]
@@ -273,6 +273,44 @@ def test_custom_zero_parameter_distribution():
     assert dist.explored_mass == pytest.approx(1.0, abs=1e-12)
     assert sorted(p for _, p in dist.entries) == pytest.approx([0.2, 0.3, 0.5])
     assert marginal(dist, _fact("Roll", "a", 3)) == pytest.approx(0.2)
+
+
+def test_repeated_support_value_fails_where_the_support_is_enumerated(
+    tmp_path, monkeypatch
+):
+    # a support yielding one value twice would give two leaves one fact set;
+    # exploration refuses it when it first enumerates the support, before
+    # any leaf is reached, in the library and on the command line alike
+    from gdlog.cli import main
+    from gdlog.distributions import DistributionSpec, Registry
+    from gdlog.parser import parse_program
+    from gdlog.ppdl import exact_posterior
+
+    reg = Registry.standard()
+    reg.register(
+        DistributionSpec(
+            "Twice",
+            0,
+            True,
+            lambda x, params: 0.25 if x in (1.0, 2.0) else 0.0,
+            lambda params: iter((1.0, 1.0, 2.0, 2.0)),
+            lambda params: None,
+        )
+    )
+    text = "edb S/1.\nidb Roll/2.\nRoll(x, Twice[]) :- S(x).\n"
+    program = parse_program(text, reg)
+    rows = frozenset({_fact("S", "a")})
+    for explore in (enumerate_outcomes, exact_posterior):
+        with pytest.raises(AssertionError, match="support repeats a value"):
+            explore(program, rows, EnumerationPolicy())
+    monkeypatch.setattr(Registry, "with_demo_distributions", staticmethod(lambda: reg))
+    (tmp_path / "twice.gdl").write_text(text)
+    (tmp_path / "twice.facts").write_text('S("a").\n')
+    inputs = [str(tmp_path / "twice.gdl"), "--edb", str(tmp_path / "twice.facts")]
+    exact = ["--query", 'Roll("a", 1)', "--mode", "exact"]
+    for argv in (["enumerate", *inputs], ["infer", *inputs, *exact]):
+        with pytest.raises(AssertionError, match="support repeats a value"):
+            main(argv)
 
 
 def test_node_budget_reports_residual(burglar, burglar_edb):

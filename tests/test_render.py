@@ -11,7 +11,7 @@ be equal with ``==``. The batch test records every batch as the engine
 enqueued it and checks it against a keyed sort of the same batch. The
 leaf order must equal ``old_ordered``, and ``enumerate``, which renders
 leaf rows, must print the bytes that rendering the sorted facts of
-``enumerate_outcomes`` gives.
+``enumerate_outcomes`` gives, without taking any log mass.
 """
 from __future__ import annotations
 
@@ -170,8 +170,8 @@ def test_sample_builds_no_facts(capsys, monkeypatch):
 
 def test_enumerate_builds_no_facts(capsys, monkeypatch):
     """``enumerate`` renders each leaf's chase rows: it never turns a state
-    into ``Fact`` objects, wraps the leaves as an ``OutcomeDistribution``
-    or builds fact sort keys."""
+    into ``Fact`` objects, wraps the leaves as an ``OutcomeDistribution``,
+    builds fact sort keys or takes a log mass."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("enumerate built facts")
@@ -179,6 +179,8 @@ def test_enumerate_builds_no_facts(capsys, monkeypatch):
     monkeypatch.setattr("gdlog.chase.ChaseState.instance", forbidden)
     monkeypatch.setattr("gdlog.enumeration._distribution", forbidden)
     monkeypatch.setattr("gdlog.model.fact_key", forbidden)
+    monkeypatch.setattr("gdlog.chase.ChaseEngine.canonical_log_mass", forbidden)
+    monkeypatch.setattr("gdlog.enumeration._log_mass", forbidden)
     code = main(
         [
             "enumerate",
