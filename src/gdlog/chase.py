@@ -38,9 +38,11 @@ it cannot decide is returned unapplied, be it a distributional firing in a
 run without an rng or a deterministic one whose head row is outside the
 run's ``heads``. Chases differ only in who picks a drawn value: sampling
 draws it, enumeration branches over the support (``run_to_branch``), Monte
-Carlo inference follows one drawn value per sample, and replay and
-cylinder masses force it from a target fact set, which is also their
-``heads`` (``forced_mass``).
+Carlo inference follows one drawn value per sample, replay and cylinder
+masses force it from a target fact set, which is also their ``heads``
+(``forced_mass``), and ``chase_step`` takes a caller's choice or draws.
+Each of them checks the firing's parameters and weighs the value;
+``apply`` only records the firing it was given.
 
 Draw weights are accumulated in log space while a run is in flight. Each
 state also keeps a ledger of its draws' pmfs under their raw (relation,
@@ -396,24 +398,15 @@ class ChaseEngine:
     "reversed-rules" (FIFO with rule priority reversed), or "random"
     (seeded random pops from the frontier). The frontier holds (rank,
     binding) pairs, a rank being a rule's index in ``_ranked``, the rules
-    in priority order. With ``check_invariants`` the functional
-    dependencies and strict instance growth are re-verified from scratch
-    after every step.
+    in priority order.
     """
 
-    def __init__(
-        self,
-        ghat: ExistentialProgram,
-        order: str = FIFO,
-        order_seed: int = 0,
-        check_invariants: bool = False,
-    ):
+    def __init__(self, ghat: ExistentialProgram, order: str = FIFO, order_seed: int = 0):
         if order not in (FIFO, REVERSED_RULES, RANDOM_FAIR):
             raise GdlogError(f"unknown scheduling order '{order}'")
         self.ghat = ghat
         self.order = order
         self.order_seed = order_seed
-        self.check_invariants = check_invariants
         self.distrel_by_name = {d.name: d for d in ghat.dist_relations}
         self.rules = [self._compile(i, r) for i, r in enumerate(ghat.rules)]
         self._ranked = self.rules[::-1] if order == REVERSED_RULES else self.rules
@@ -558,51 +551,22 @@ class ChaseEngine:
         except DomainError as e:
             raise DomainError(f"{self._firing_context(rule, slots)}: {e}") from e
 
-    def apply(
-        self,
-        state: ChaseState,
-        rule: _CompiledRule,
-        slots,
-        choice: float | None = None,
-        rng: RngStream | None = None,
-        pmf: float | None = None,
-    ) -> tuple:
-        """Fire a rule instance, drawing ``choice`` or else from ``rng``;
-        returns the added (relation, row). A ``pmf`` given with ``choice``
-        comes from ``draw``, ``enumerate_support`` or ``forced_mass``, which
-        checked the parameters, and is taken as is. Otherwise the firing's
-        parameters are checked before ``choice`` is weighed through ``mass``,
-        and an invalid parameter or a value of no mass raises DomainError."""
+    def apply(self, state: ChaseState, rule: _CompiledRule, slots, value=None, pmf=None):
+        """Record a firing whose caller decided it: a drawn head takes
+        ``value`` with its ``pmf``, weighed on parameters that
+        ``checked_params`` passed. Returns the added (relation, row)."""
         rel, dr = rule.head_rel, rule.distrel
         row = key = rule.head_key(slots)
         if dr is not None:
-            # checked once here, unless the caller drew or enumerated ``choice``
-            params = None if pmf is not None else self.checked_params(rule, slots, key)
-            if pmf is not None:
-                value, weight = choice, pmf
-            elif choice is not None:
-                value = choice if isinstance(choice, str) else float(choice)
-                weight = rule.spec.mass(value, params)
-                if weight <= 0.0:
-                    raise DomainError(
-                        f"{self._firing_context(rule, slots)}: value {value} "
-                        f"outside support of {dr.dist}"
-                    )
-            else:
-                if rng is None:
-                    raise GdlogError("distributional firing needs a choice or an rng")
-                value, weight = rule.spec.draw(params, rng)
             row = dr.row(key, value)
         state.add_row(rel, row)  # first taking ``rel``'s rows and obligations
         if dr is not None:
             obls = state.obls.setdefault(rel, {})
             assert key not in obls, "functional dependency would be violated"
             obls[key] = value
-            state.draws.append(((rel, key), weight))
+            state.draws.append(((rel, key), pmf))
         state.steps += 1
         self._discover(state, rel, row)
-        if self.check_invariants:
-            self._verify_invariants(state)
         return rel, row
 
     def _verify_invariants(self, state: ChaseState) -> None:
@@ -658,10 +622,13 @@ class ChaseEngine:
             if rule.distrel is not None:
                 if rng is None:
                     return nxt
-            elif heads is not None:
-                if rule.head_key(slots) not in heads.get(rule.head_rel, ()):
-                    return nxt
-            self.apply(state, rule, slots, None, rng)
+                params = self.checked_params(rule, slots, rule.head_key(slots))
+                value, pmf = rule.spec.draw(params, rng)
+                self.apply(state, rule, slots, value, pmf)
+            elif heads is None or rule.head_key(slots) in heads.get(rule.head_rel, ()):
+                self.apply(state, rule, slots)
+            else:
+                return nxt
 
     def run_to_branch(self, state: ChaseState, step_budget: int):
         """Chase without draws: LEAF, BUDGET_EXHAUSTED, or the distributional
@@ -739,7 +706,7 @@ class ChaseEngine:
             pmf = rule.spec.mass(value, params)
             if pmf <= 0.0:
                 return Rejection(f"zero-weight choice {value} on {rel} at {key}")
-            self.apply(state, rule, slots, float(value), pmf=pmf)
+            self.apply(state, rule, slots, float(value), pmf)
         left = sorted(target - state.instance(), key=fact_key)
         if left:
             fact = render_fact(left[0])
@@ -796,14 +763,31 @@ def chase_step(
     choice: float | None = None,
     rng: RngStream | None = None,
 ) -> ChaseState:
-    """Apply one firing to ``state`` (mutating it) and return it."""
+    """Apply one firing to ``state`` (mutating it) and return it. A drawn
+    head takes ``choice``, weighed through ``mass``, or else a draw from
+    ``rng``; an invalid parameter or a value of no mass raises DomainError."""
     engine = ghat if isinstance(ghat, ChaseEngine) else ChaseEngine(ghat)
     rule, slots = engine.from_firing(firing)
     if not engine.body_satisfied(state, rule, slots):
         raise GdlogError("firing is not applicable: body unsatisfied")
     if engine.head_satisfied(state, rule, slots):
         raise GdlogError("firing is not applicable: head already satisfied")
-    engine.apply(state, rule, slots, choice=choice, rng=rng)
+    value = pmf = None
+    if rule.distrel is not None:
+        params = engine.checked_params(rule, slots, rule.head_key(slots))
+        if choice is not None:
+            value = choice if isinstance(choice, str) else float(choice)
+            pmf = rule.spec.mass(value, params)
+            if pmf <= 0.0:
+                raise DomainError(
+                    f"{engine._firing_context(rule, slots)}: value {value} "
+                    f"outside support of {rule.distrel.dist}"
+                )
+        elif rng is not None:
+            value, pmf = rule.spec.draw(params, rng)
+        else:
+            raise GdlogError("distributional firing needs a choice or an rng")
+    engine.apply(state, rule, slots, value, pmf)
     return state
 
 

@@ -158,8 +158,8 @@ def _explore(g: Program, input_facts, policy, observe=None) -> tuple:
                 target = 1.0 - policy.mass_epsilon
                 if not rule.spec.finite_support:
                     target = min(target, policy.support_mass_target)
-                checked = engine.checked_params(rule, slots, key)
-                support = rule.spec.enumerate_support(checked, target)
+                support = []  # the policy keeps ``target`` in (0, 1]
+                rule.spec._walk(engine.checked_params(rule, slots, key), target, support)
                 values = {v for v, _ in support}
                 assert len(values) == len(support), "support repeats a value"
                 tail = 1.0 - math.fsum(p for _, p in support)
@@ -170,7 +170,7 @@ def _explore(g: Program, input_facts, policy, observe=None) -> tuple:
             last = len(support) - 1
             for i, (value, p) in enumerate(support):
                 child = state if i == last else state.copy()
-                engine.apply(child, rule, slots, choice=value, pmf=p)
+                engine.apply(child, rule, slots, value, p)
                 steps += 1
                 counter += 1
                 heapq.heappush(heap, (-engine.canonical_mass(child), counter, child))

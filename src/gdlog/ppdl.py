@@ -274,7 +274,7 @@ def _estimate(p, engine, input_facts, query, n, seed, step_budget) -> PosteriorE
                 held += rows
                 return _Node(state, rule, slots, params, {}), True
             value, pmf = rule.spec.draw(params, rng)
-            engine.apply(state, rule, slots, value, pmf=pmf)
+            engine.apply(state, rule, slots, value, pmf)
             stop, cache = engine.run(state, rng, step_budget), False
         if stop is BUDGET_EXHAUSTED:
             return _EXHAUSTED, cache
@@ -297,7 +297,7 @@ def _estimate(p, engine, input_facts, query, n, seed, step_budget) -> PosteriorE
             node = children.get(value)
             if node is None:
                 state = state.copy()
-                engine.apply(state, rule, slots, value, pmf=pmf)
+                engine.apply(state, rule, slots, value, pmf)
                 node, cache = chase(state, rng)
                 if cache:
                     children[value] = node

@@ -151,11 +151,12 @@ def old_replay_weight(g, input_facts, candidate):
             value = keyed[key]
             dr = rule.distrel
             params = key[len(key) - dr.pardim :] if dr.pardim else ()
-            if isinstance(value, str) or rule.spec.pmf(value, params) <= 0.0:
+            pmf = 0.0 if isinstance(value, str) else rule.spec.pmf(value, params)
+            if pmf <= 0.0:
                 return Rejection(
                     f"zero-weight choice {value} on {rule.head_rel} at {key}"
                 )
-            engine.apply(state, rule, slots, choice=value)
+            engine.apply(state, rule, slots, float(value), pmf)
 
     extraneous = sorted(candidate - state.instance(), key=fact_key)
     if extraneous:
@@ -212,11 +213,12 @@ def old_cylinder_mass(g, input_facts, derivation_set):
                 value = keyed[key]
                 dr = rule.distrel
                 params = key[len(key) - dr.pardim :] if dr.pardim else ()
-                if isinstance(value, str) or rule.spec.pmf(value, params) <= 0.0:
+                pmf = 0.0 if isinstance(value, str) else rule.spec.pmf(value, params)
+                if pmf <= 0.0:
                     return Rejection(
                         f"zero-weight choice {value} on {rule.head_rel} at {key}"
                     )
-                engine.apply(state, rule, slots, choice=value)
+                engine.apply(state, rule, slots, float(value), pmf)
                 progress = True
 
     if state.fact_count() != target_size:
@@ -283,9 +285,9 @@ def old_enumerate_outcomes(g, input_facts, policy: EnumerationPolicy | None = No
             tail = 1.0 - math.fsum(p for _, p in support)
             if tail > 0.0:
                 residual_parts.append(parent_mass * tail)
-            for value, _ in support:
+            for value, p in support:
                 child = state.copy()
-                engine.apply(child, rule, slots, choice=value)
+                engine.apply(child, rule, slots, value, p)
                 steps += 1
                 counter += 1
                 heapq.heappush(

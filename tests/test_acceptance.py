@@ -18,6 +18,7 @@ from gdlog.enumeration import EnumerationPolicy, enumerate_outcomes, marginal
 from gdlog.ppdl import estimate_posterior, exact_posterior
 from gdlog.translate import COPIED, EXISTENTIAL, PROJECTION, to_existential
 
+from checked_engine import CheckedEngine
 from conftest import load_facts, load_program
 from randprog import random_program
 from test_chase import WORKED_OUTCOME_WEIGHT, _fact, worked_outcome
@@ -262,7 +263,7 @@ def test_09_property_suites(registry):
         rnd = random.Random(986513)
         for i in range(1000):
             program, facts = random_program(rnd, registry)
-            engine = ChaseEngine(to_existential(program), check_invariants=True)
+            engine = CheckedEngine(to_existential(program))
             template = engine.initial_state(facts)
             for seed in range(10):
                 state = template.copy()

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import pytest
 
 from gdlog import enumeration, ppdl
-from gdlog.chase import LEAF, ChaseEngine, ChaseState
+from gdlog.chase import LEAF, ChaseEngine, ChaseState, chase_step
 from gdlog.distributions import DomainError, RngStream
 from gdlog.enumeration import EnumerationPolicy, _explore, enumerate_outcomes
 from gdlog.model import GdlogError
@@ -30,6 +30,7 @@ from gdlog.parser import parse_facts, parse_program
 from gdlog.ppdl import _estimate, _observations, exact_posterior
 from gdlog.translate import to_existential
 
+from checked_engine import CheckedEngine
 from old_drivers import old_copy, old_estimate_posterior
 from randprog import random_program
 from test_driver_oracle import STEPS, _constrained, _query, _variable_parameter
@@ -47,9 +48,7 @@ def _explored(program, facts, policy, observe):
 
 def test_explore_matches_old_copy(registry, monkeypatch):
     # every step re-verifies its state's invariants, join indexes included
-    monkeypatch.setattr(
-        enumeration, "ChaseEngine", partial(ChaseEngine, check_invariants=True)
-    )
+    monkeypatch.setattr(enumeration, "ChaseEngine", CheckedEngine)
     rnd = random.Random(4646)
     leaves = dropped = 0
     for seed in SEEDS:
@@ -135,11 +134,8 @@ def test_estimate_matches_old_loop_with_old_copy(registry, monkeypatch):
             program = _constrained(rnd, program)
         if seed % 3 == 1:
             program = _variable_parameter(rnd, program)
-        engine = ChaseEngine(
-            to_existential(program),
-            order=ORDERS[seed % 3],
-            order_seed=seed,
-            check_invariants=True,
+        engine = CheckedEngine(
+            to_existential(program), order=ORDERS[seed % 3], order_seed=seed
         )
         try:
             outcome = engine.sample(facts, RngStream(seed, 0), STEPS).facts
@@ -169,14 +165,14 @@ D(x, Flip[0.5]) :- S(x).
 def test_copies_do_not_see_each_others_writes(registry):
     program = parse_program(_ISOLATION, registry)
     facts = parse_facts('S("a").\nS("b").\nS("c").', program.edb)
-    engine = ChaseEngine(to_existential(program), check_invariants=True)
+    engine = CheckedEngine(to_existential(program))
     det = next(r for r in engine.rules if r.head_rel == "R")
     draw = next(r for r in engine.rules if r.distrel is not None)
     drel = draw.head_rel
 
     def write(state, x, value):
         engine.apply(state, det, (x,))
-        engine.apply(state, draw, (x,), choice=value)
+        chase_step(state, engine.to_firing(draw, (x,)), engine, choice=value)
 
     def rebuilt(writes):
         state = engine.initial_state(facts)

@@ -26,6 +26,7 @@ from gdlog.enumeration import cylinder_mass
 from gdlog.model import Fact, GdlogError, _row_key, fact_key
 from gdlog.translate import to_existential
 
+from checked_engine import CheckedEngine
 from conftest import load_facts, load_program
 from randprog import random_program
 
@@ -306,7 +307,7 @@ def test_weakly_acyclic_programs_always_reach_a_leaf(registry, prog_name, fact_n
 
 
 def test_monotone_growth_and_fd_invariants(burglar, burglar_edb):
-    engine = ChaseEngine(to_existential(burglar), check_invariants=True)
+    engine = CheckedEngine(to_existential(burglar))
     for seed in range(25):
         state = engine.initial_state(burglar_edb)
         sizes = [state.fact_count()]
@@ -314,7 +315,7 @@ def test_monotone_growth_and_fd_invariants(burglar, burglar_edb):
             nxt = engine.pop_applicable(state)
             if nxt is None:
                 break
-            engine.apply(state, *nxt, rng=RngStream(seed, 0))
+            chase_step(state, engine.to_firing(*nxt), engine, rng=RngStream(seed, 0))
             sizes.append(state.fact_count())
         assert all(b == a + 1 for a, b in zip(sizes, sizes[1:]))
 
@@ -330,7 +331,7 @@ def test_weight_ledger_matches_recomputation(burglar, burglar_edb):
 
 
 def test_invariant_check_catches_a_wrong_draw_ledger(burglar, burglar_edb):
-    engine = ChaseEngine(to_existential(burglar), check_invariants=True)
+    engine = CheckedEngine(to_existential(burglar))
     state = engine.initial_state(burglar_edb)
     rng = RngStream(0, 0)
     assert engine.run(state, rng, 3) == BUDGET_EXHAUSTED
@@ -394,7 +395,7 @@ def _break_join_index(state):
     ],
 )
 def test_invariant_check_catches_a_tampered_state(burglar, burglar_edb, tamper, message):
-    engine = ChaseEngine(to_existential(burglar), check_invariants=True)
+    engine = CheckedEngine(to_existential(burglar))
     state = engine.initial_state(burglar_edb)
     rng = RngStream(0, 0)
     assert engine.run(state, rng, 3) == BUDGET_EXHAUSTED
@@ -480,7 +481,7 @@ def test_heads_retrace_seeded_runs_of_random_programs(registry):
     taken = 0
     for seed in range(200):
         program, facts = random_program(random.Random(seed), registry)
-        engine = ChaseEngine(to_existential(program), check_invariants=True)
+        engine = CheckedEngine(to_existential(program))
         # every run reaches a leaf at 40 steps; some are cut at 6
         taken += _check_heads_retrace(engine, facts, seed, 6 if seed % 3 else 40)
     assert taken > 300  # not vacuous
@@ -500,7 +501,7 @@ def test_run_without_rng_stops_at_draws_and_heads_outside(burglar, burglar_edb):
             outside.append(Fact(rule.head_rel, row))
         else:
             drawn += 1
-        engine.apply(state, rule, slots, choice=1.0)
+        chase_step(state, engine.to_firing(rule, slots), engine, choice=1.0)
     assert stop == LEAF
     assert drawn == 14  # all forced to 1: 2 earthquakes, 4 burglaries, 8 triggers
     assert quake in outside and _fact("Earthquake", "Yucaipa", 1) in outside

@@ -44,6 +44,7 @@ from gdlog.model import DeltaTerm, Fact, GdlogError, Variable, fact_key
 from gdlog.ppdl import _estimate, _exact_bounds, exact_posterior
 from gdlog.translate import to_existential
 
+from checked_engine import CheckedEngine
 from old_drivers import (
     old_canonical_log_mass,
     old_canonical_mass,
@@ -154,7 +155,7 @@ def test_ledger_mass_matches_old_canonical_mass(registry):
         program, facts = random_program(rnd, registry)
         # on odd seeds every step also rebuilds the ledger from the drawn
         # facts (and so merges each draw as it fires)
-        engine = ChaseEngine(to_existential(program), check_invariants=seed % 2 == 1)
+        engine = (CheckedEngine if seed % 2 else ChaseEngine)(to_existential(program))
         # a sampled run: every draw enters the ledger at the one mass call
         state = engine.initial_state(facts)
         engine.run(state, RngStream(seed, 0), STEPS)
@@ -268,6 +269,47 @@ def _variable_parameter(rnd: random.Random, program):
     rules = list(program.rules)
     rules[i] = rule._replace(head=rule.head._replace(args=args))
     return program._replace(rules=rules)
+
+
+def _chased(engine, facts, seed: int, budget: int, step_by_step: bool):
+    """(rows, draw ledger, steps) of one chase on ``RngStream(seed, 0)``,
+    driven by ``run`` or one ``chase_step`` at a time, or the message of
+    the DomainError it raised."""
+    state = engine.initial_state(facts)
+    rng = RngStream(seed, 0)
+    try:
+        if not step_by_step:
+            engine.run(state, rng, budget)
+        else:
+            while state.steps < budget and (nxt := engine.pop_applicable(state)):
+                chase_step(state, engine.to_firing(*nxt), engine, rng=rng)
+    except DomainError as e:
+        return str(e)
+    return state.facts, state.canonical_draws(), state.steps
+
+
+def test_chase_step_draws_as_run_does(registry):
+    # the public step and `run` each check a firing's parameters and
+    # draw its value; pmfs are positive, so == compares their bits
+    rnd = random.Random(2929)
+    kinds = Counter()
+    for seed in range(120):
+        program, facts = random_program(random.Random(seed), registry)
+        if seed % 2:
+            program = _variable_parameter(rnd, program)
+        budget = 6 if seed % 3 == 0 else STEPS
+        for order in ("fifo", "reversed-rules", "random"):
+            engine = ChaseEngine(to_existential(program), order=order, order_seed=seed)
+            got = _chased(engine, facts, seed, budget, step_by_step=True)
+            assert got == _chased(engine, facts, seed, budget, step_by_step=False)
+            if isinstance(got, str):
+                kinds["error"] += 1
+            else:
+                kinds["cut" if got[2] == budget else "leaf"] += 1
+                kinds["draws"] += len(got[1])
+    # not vacuous: chases raise, are cut and reach leaves, and draw often
+    assert kinds["error"] > 20 and kinds["cut"] > 20 and kinds["leaf"] > 20, kinds
+    assert kinds["draws"] > 400, kinds
 
 
 def test_estimate_matches_old_sampling_loop(registry, monkeypatch):

@@ -382,3 +382,29 @@ def test_cylinder_rejects_zero_weight_choice(burglar, burglar_edb):
 def test_cylinder_rejects_symbol_as_drawn_value(registry):
     p, edb, drawn = _symbol_draw_case(registry)
     assert cylinder_mass(p, edb, drawn) == SYMBOL_DRAW_REJECTION
+
+
+def test_a_support_checks_its_parameters_once(registry, monkeypatch):
+    # one parameter check per support: the check (which walks a finite
+    # support to its first value) and the support's own walk, 3 + 3 walks
+    from gdlog.distributions import DistributionSpec
+    from gdlog.parser import parse_facts, parse_program
+
+    program = parse_program("edb S/1.\nidb R/2.\nR(x, Fork[x]) :- S(x).\n", registry)
+    rows = parse_facts("S(1). S(2). S(3).", program.edb)
+    calls = Counter()
+
+    def counted(name):
+        method = getattr(DistributionSpec, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(DistributionSpec, name, wrapper)
+
+    counted("check_params")
+    counted("_walk")
+    dist = enumerate_outcomes(program, rows, EnumerationPolicy())
+    assert len(dist.entries) == 8
+    assert calls == {"check_params": 3, "_walk": 6}

@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from gdlog.chase import FIFO, RANDOM_FAIR, REVERSED_RULES, ChaseEngine, _mix
+from gdlog.chase import FIFO, RANDOM_FAIR, REVERSED_RULES, ChaseEngine, _mix, chase_step
 from gdlog.distributions import RngStream
 from gdlog.model import _row_key
 from gdlog.translate import to_existential
@@ -94,7 +94,7 @@ def _check_run(engine: ChaseEngine, facts, seed: int, steps: int) -> tuple:
             break
         rule, slots = nxt
         assert (rule.index, tuple(slots)) == expected, len(fired)
-        engine.apply(state, rule, slots, rng=rng)
+        chase_step(state, engine.to_firing(rule, slots), engine, rng=rng)
         ref.extend(state)
         assert len(state.pending) == len(ref.pending)
         fired.append(expected)

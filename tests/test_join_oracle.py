@@ -17,12 +17,13 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from gdlog.chase import ChaseEngine
+from gdlog.chase import ChaseEngine, chase_step
 from gdlog.distributions import RngStream
 from gdlog.model import Atom, DeltaTerm, Fact, Program, Rule, Variable, validate_program
 from gdlog.ppdl import _CompiledConstraint, check_constraints
 from gdlog.translate import to_existential
 
+from checked_engine import CheckedEngine
 from conftest import load_facts, load_program
 from nested_join import match, nested_extend, reference_violations
 from old_drivers import ground
@@ -81,7 +82,7 @@ def _chase(seed: int, registry, on_step=None):
 def _chase_program(program, facts, seed: int, on_step=None):
     """Chase ``program``; a copy of the state takes over halfway, so that
     indexes are also rebuilt from a copied instance."""
-    engine = ChaseEngine(to_existential(program), check_invariants=True)
+    engine = CheckedEngine(to_existential(program))
     state = engine.initial_state(facts)
     rng = RngStream(seed, 0)
     for step in range(STEPS):
@@ -92,7 +93,7 @@ def _chase_program(program, facts, seed: int, on_step=None):
         nxt = engine.pop_applicable(state)
         if nxt is None:
             break
-        engine.apply(state, *nxt, rng=rng)
+        chase_step(state, engine.to_firing(*nxt), engine, rng=rng)
     return engine, state
 
 
